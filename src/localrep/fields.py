@@ -92,70 +92,103 @@ class FpPoly:
         if self.p != other.p:
             raise FieldMismatchError("polynomials over different primes")
 
+    def is_one(self) -> bool:
+        return self.coeffs == (1,)
+
     def __add__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
+        p = self.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FpPoly(self.p, out)
+            out[i] = (out[i] + c) % p
+        while out and not out[-1]:
+            out.pop()
+        return FpPoly(p, tuple(out), _trusted=True)
 
     def __neg__(self) -> "FpPoly":
-        return FpPoly(self.p, tuple((-c) % self.p for c in self.coeffs), _trusted=True)
+        return FpPoly(self.p, tuple([-c % self.p for c in self.coeffs]), _trusted=True)
 
     def __sub__(self, other: "FpPoly") -> "FpPoly":
         return self + (-other)
 
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return FpPoly(self.p, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return FpPoly(self.p, out)
+        p = self.p
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return FpPoly(p, (), _trusted=True)
+        # p is prime, so the leading product a[-1] * b[-1] stays nonzero mod p
+        if len(a) == 1:
+            c = a[0]
+            return FpPoly(p, tuple([c * y % p for y in b]), _trusted=True)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return FpPoly(p, tuple([c % p for c in out]), _trusted=True)
 
     def scale(self, c: int) -> "FpPoly":
         c %= self.p
         if c == 0:
             return FpPoly(self.p, ())
-        return FpPoly(self.p, tuple((c * a) % self.p for a in self.coeffs), _trusted=True)
+        return FpPoly(self.p, tuple([c * a % self.p for a in self.coeffs]), _trusted=True)
 
     def divmod(self, other: "FpPoly"):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
-        inv_lead = pow(other.leading(), -1, p)
+        b = other.coeffs
+        inv_lead = pow(b[-1], -1, p)
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(rem) - len(b)
         if dq < 0:
-            return FpPoly(p, ()), self
+            return FpPoly(p, (), _trusted=True), self
         quo = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            top = rem[k + len(other.coeffs) - 1]
+            top = rem[k + len(b) - 1]
             if top:
                 q = (top * inv_lead) % p
                 quo[k] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - q * b) % p
-        return FpPoly(p, quo), FpPoly(p, rem)
+                for j, c in enumerate(b, k):
+                    rem[j] = (rem[j] - q * c) % p
+        del rem[len(b) - 1:]
+        while rem and not rem[-1]:
+            rem.pop()
+        # the top quotient coefficient comes from the nonzero top of self
+        return FpPoly(p, tuple(quo), _trusted=True), FpPoly(p, tuple(rem), _trusted=True)
 
     def __mod__(self, other: "FpPoly") -> "FpPoly":
         return self.divmod(other)[1]
 
     @staticmethod
     def gcd(a: "FpPoly", b: "FpPoly") -> "FpPoly":
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.scale(pow(a.leading(), -1, a.p))  # monic
+        """Monic gcd (zero only for gcd(0, 0)), by Euclid on remainders alone."""
+        a._check(b)
+        p = a.p
+        r0, r1 = list(a.coeffs), list(b.coeffs)
+        while r1:
+            inv = pow(r1[-1], -1, p)
+            d = len(r1) - 1
+            # r0 <- r0 mod r1, cancelling the (nonzero) top coefficient each step
+            while len(r0) > d:
+                q = r0.pop() * inv % p
+                shift = len(r0) - d
+                for j in range(d):
+                    r0[shift + j] = (r0[shift + j] - q * r1[j]) % p
+                while r0 and not r0[-1]:
+                    r0.pop()
+            r0, r1 = r1, r0
+        if not r0:
+            return FpPoly(p, (), _trusted=True)
+        inv = pow(r0[-1], -1, p)
+        return FpPoly(p, tuple([c * inv % p for c in r0]), _trusted=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -214,8 +247,55 @@ def _parse_poly(p: int, text: str) -> FpPoly:
     return result
 
 
+def _cancel(a: FpPoly, b: FpPoly):
+    """``(a/g, b/g)`` for g = gcd(a, b), with ``b`` nonzero.
+
+    No gcd runs when ``a`` is zero or either side is a nonzero constant, and
+    no division when the gcd is 1.  ``b/g`` stays monic when ``b`` is.
+    """
+    if not a.coeffs:  # gcd(0, b) is b made monic
+        return a, FpPoly.const(b.p, b.leading())
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return a, b
+    g = FpPoly.gcd(a, b)
+    if g.is_one():
+        return a, b
+    return a.divmod(g)[0], b.divmod(g)[0]
+
+
+def _monic(num: FpPoly, den: FpPoly):
+    """Scale ``num/den`` so that the (nonzero) denominator is monic."""
+    lead = den.leading()
+    if lead == 1:
+        return num, den
+    inv = pow(lead, -1, den.p)
+    return num.scale(inv), den.scale(inv)
+
+
 class FpRat:
-    """Reduced fraction of F_p[T] polynomials with a monic denominator."""
+    """Fraction of F_p[T] polynomials in canonical form.
+
+    Invariant: ``num`` and ``den`` are coprime and ``den`` is monic, so zero
+    is 0/1 and a polynomial has ``den == 1``.  Equality, hashing and the
+    printed form compare the pair itself and rely on this.
+
+    The constructor normalises any pair: it cancels gcd(num, den) and makes
+    the denominator monic.  Results of ``+ - * /`` are built from operands
+    that already hold the invariant and need no full normalisation
+    (Henrici's reduced-fraction arithmetic; Knuth, TAOCP vol. 2, 4.5.1):
+
+    * both denominators 1: a sum, difference or product of polynomials is a
+      polynomial over 1, with no gcd; more generally ``+`` and ``-`` over a
+      common denominator d reduce (n1 +- n2)/d by one gcd with d;
+    * ``*`` and ``/``: cancel across, g1 = gcd(n1, d2) and g2 = gcd(n2, d1).
+      After that each reduced numerator is coprime to both reduced
+      denominators, so the products are coprime too; ``/`` then only makes
+      the denominator monic;
+    * ``+`` and ``-``: with g = gcd(d1, d2) and s_i = d_i/g, the numerator
+      t = n1 s2 + n2 s1 is coprime to s1 (t = n1 s2 mod s1) and to s2, so
+      its gcd with the denominator g s1 s2 is gcd(t, g); when g is 1 the
+      result is already reduced.
+    """
 
     __slots__ = ("num", "den")
 
@@ -226,19 +306,14 @@ class FpRat:
             return
         if den is None:
             den = FpPoly.const(num.p, 1)
+        num._check(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = FpPoly.gcd(num, den)
-        if not g.is_zero():
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead_inv = pow(den.leading(), -1, den.p)
-        self.num = num.scale(lead_inv)
-        self.den = den.scale(lead_inv)
+        self.num, self.den = _monic(*_cancel(num, den))
 
     @classmethod
     def from_int(cls, p: int, k: int) -> "FpRat":
-        return cls(FpPoly.const(p, k))
+        return cls(FpPoly.const(p, k), FpPoly.const(p, 1), _trusted=True)
 
     @property
     def p(self) -> int:
@@ -253,22 +328,40 @@ class FpRat:
             return INFINITY
         return self.num.order - self.den.order
 
+    def _sum(self, n2: FpPoly, d2: FpPoly) -> "FpRat":
+        n1, d1 = self.num, self.den
+        if d1 == d2:  # a common denominator; 1 for polynomials, then no gcd
+            return FpRat(*_cancel(n1 + n2, d1), _trusted=True)
+        g = FpPoly.gcd(d1, d2)
+        if g.is_one():
+            return FpRat(n1 * d2 + n2 * d1, d1 * d2, _trusted=True)
+        s1, s2 = d1.divmod(g)[0], d2.divmod(g)[0]
+        t, g = _cancel(n1 * s2 + n2 * s1, g)
+        return FpRat(t, s1 * s2 * g, _trusted=True)
+
     def __add__(self, other: "FpRat") -> "FpRat":
-        return FpRat(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._sum(other.num, other.den)
 
     def __sub__(self, other: "FpRat") -> "FpRat":
-        return FpRat(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._sum(-other.num, other.den)
 
     def __neg__(self) -> "FpRat":
         return FpRat(-self.num, self.den, _trusted=True)
 
     def __mul__(self, other: "FpRat") -> "FpRat":
-        return FpRat(self.num * other.num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1.is_one() and d2.is_one():
+            return FpRat(n1 * n2, d1, _trusted=True)
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        return FpRat(n1 * n2, d1 * d2, _trusted=True)
 
     def __truediv__(self, other: "FpRat") -> "FpRat":
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return FpRat(self.num * other.den, self.den * other.num)
+        n1, n2 = _cancel(self.num, other.num)
+        d2, d1 = _cancel(other.den, self.den)
+        return FpRat(*_monic(n1 * d2, d1 * n2), _trusted=True)
 
     def __pow__(self, k: int) -> "FpRat":
         if k < 0:
@@ -295,7 +388,7 @@ class FpRat:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        if self.den == FpPoly.const(self.p, 1):
+        if self.den.is_one():
             return str(self.num)
         return f"{self.num}/{self.den}"
 
@@ -394,7 +487,10 @@ class Field:
             if len(parts) == 1:
                 return FpRat(_parse_poly(self.p, parts[0]))
             if len(parts) == 2:
-                return FpRat(_parse_poly(self.p, parts[0]), _parse_poly(self.p, parts[1]))
+                den = _parse_poly(self.p, parts[1])
+                if den.is_zero():
+                    raise ParseError(f"zero denominator in {x!r}")
+                return FpRat(_parse_poly(self.p, parts[0]), den)
             raise ParseError(f"bad rational-function literal {x!r}")
         raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import ParseError, SingularMatrixError
 from .fields import Field
 from .linalg import Matrix
 from .reptheory import InvariantFlag, Representation, Semisimplification
@@ -62,6 +62,8 @@ def representation_from_json(obj) -> Representation:
         mats[sym] = m
     try:
         return Representation(field, mats)
+    except SingularMatrixError:
+        raise  # a precondition, not a parse failure: the CLI exits 3
     except Exception as exc:
         raise ParseError(f"representation: {exc}") from exc
 

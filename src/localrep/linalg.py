@@ -16,7 +16,7 @@ from .errors import (
     SingularMatrixError,
     WrongFieldError,
 )
-from .fields import Field, INFINITY
+from .fields import Field, INFINITY, REAL_TOLERANCE
 
 
 class Matrix:
@@ -245,7 +245,7 @@ def rref(field: Field, rows) -> RrefResult:
     scale = 1.0
     if field.is_real and nrows:
         scale = max((abs(x) for r in work for x in r), default=0.0)
-    tol = 1e-9 * max(1.0, scale)
+    tol = REAL_TOLERANCE * max(1.0, scale)
 
     pivots = []
     r = 0
@@ -310,7 +310,7 @@ def _det(field: Field, work):
     scale = 1.0
     if field.is_real and n:
         scale = max((abs(x) for r in work for x in r), default=0.0)
-    tol = 1e-9 * max(1.0, scale)
+    tol = REAL_TOLERANCE * max(1.0, scale)
     det = field.one()
     sign = 1
     for c in range(n):

@@ -27,8 +27,9 @@ from .errors import (
     GeneratorMismatchError,
     NotCrError,
     NotInvariantError,
+    SingularMatrixError,
 )
-from .fields import Field
+from .fields import Field, REAL_TOLERANCE
 from .linalg import Matrix, rref, solve_linear
 
 PROBE_SEED = 0x5EED
@@ -82,7 +83,7 @@ class Representation:
             elif m.n != n:
                 raise DimensionMismatchError("generators of mixed sizes")
             if field.is_zero(m.det(), m.entry_scale()):
-                raise ValueError(f"generator {sym!r} is singular")
+                raise SingularMatrixError(f"generator {sym!r} is singular")
             mats[sym] = m
         self.field = field
         self.n = n
@@ -202,7 +203,7 @@ class _Span:
     def _pivot(self, vec):
         f = self.field
         if f.is_real:
-            best, best_val = None, 1e-9 * max(1.0, self.scale)
+            best, best_val = None, REAL_TOLERANCE * max(1.0, self.scale)
             for i, x in enumerate(vec):
                 if abs(x) > best_val:
                     best, best_val = i, abs(x)

@@ -129,6 +129,27 @@ class TestMainExitCodes:
         assert main(["minimize", "--input", path]) == 3
         assert "NOT_REAL_FIELD" in capsys.readouterr().err
 
+    def test_zero_denominator_literal_is_2(self, tmp_path):
+        path = write(tmp_path, "r.json", {
+            "field": {"type": "funcfield", "p": 3},
+            "n": 2,
+            "generators": {"a": [["T/0", "1"], ["0", "1"]]},
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "localrep.cli", "analyze", "--input", path],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "zero denominator" in proc.stderr
+
+    def test_singular_generator_is_3(self, tmp_path, capsys):
+        path = write(tmp_path, "r.json", {
+            "field": {"type": "padic", "p": 5},
+            "n": 2,
+            "generators": {"a": [["1", "2"], ["2", "4"]]},
+        })
+        assert main(["analyze", "--input", path]) == 3
+        assert "SINGULAR" in capsys.readouterr().err
+
     def test_success_is_0(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", TRIANGULAR)
         assert main(["analyze", "--input", path]) == 0

@@ -120,6 +120,9 @@ class TestTextEncoding:
             Q5.parse("not-a-number")
         with pytest.raises(ParseError):
             F3.parse("T**2")
+        for zero_den in ("T/0", "1/3", "T/T^2+2*T^2"):  # 3 = 0 and T^2+2*T^2 = 0 in F_3
+            with pytest.raises(ParseError):
+                F3.parse(zero_den)
 
     def test_field_descriptor_round_trip(self):
         for f in (Q5, F3, R):
@@ -130,3 +133,90 @@ class TestTextEncoding:
             Field.padic(4)
         with pytest.raises(ValueError):
             Field.funcfield(1)
+
+
+def _euclid(a: FpPoly, b: FpPoly) -> FpPoly:
+    """Reference gcd: Euclid through FpPoly.divmod, made monic."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a if a.is_zero() else a.scale(pow(a.leading(), -1, a.p))
+
+
+def _polys(p, max_size=5, nonzero=False):
+    coeffs = st.lists(st.integers(0, p - 1), max_size=max_size)
+    if nonzero:
+        coeffs = coeffs.filter(any)
+    return coeffs.map(lambda cs: FpPoly(p, cs))
+
+
+@st.composite
+def _poly_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    return p, draw(_polys(p, 7)), draw(_polys(p, 7))
+
+
+@st.composite
+def _rat_pairs(draw):
+    """A prime and two elements of F_p(T), each a polynomial (denominator 1)
+    or a fraction given with a common factor for the constructor to cancel.
+    The fractions' denominators share a factor, so sums meet gcd(d1, d2) != 1."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    shared = draw(_polys(p, 3, nonzero=True))
+
+    def element():
+        num = draw(_polys(p))
+        if draw(st.booleans()):
+            return FpRat(num)
+        den = draw(_polys(p, 4, nonzero=True)) * shared
+        common = draw(_polys(p, 3, nonzero=True))
+        return FpRat(num * common, den * common)
+
+    return p, element(), element()
+
+
+def _assert_canonical(x: FpRat):
+    assert x.den.leading() == 1
+    assert _euclid(x.num, x.den) == FpPoly.const(x.p, 1)
+
+
+class TestCanonicalForm:
+    """The operators keep num/den coprime with a monic den, and agree with
+    the full normalising constructor applied to the unreduced result."""
+
+    @given(_rat_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_ops_match_full_normalisation(self, case):
+        p, x, y = case
+        _assert_canonical(x)
+        _assert_canonical(y)
+        n1, d1, n2, d2 = x.num, x.den, y.num, y.den
+        pairs = [
+            (x + y, FpRat(n1 * d2 + n2 * d1, d1 * d2)),
+            (x - y, FpRat(n1 * d2 - n2 * d1, d1 * d2)),
+            (x * y, FpRat(n1 * n2, d1 * d2)),
+        ]
+        if not y.is_zero():
+            pairs.append((x / y, FpRat(n1 * d2, d1 * n2)))
+        for got, expected in pairs:
+            assert got == expected and hash(got) == hash(expected)
+            assert str(got) == str(expected)
+            _assert_canonical(got)
+
+    @given(_poly_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_gcd_matches_euclid(self, case):
+        p, a, b = case
+        assert FpPoly.gcd(a, b) == _euclid(a, b)
+
+    @given(_poly_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_mul_coefficients_reduced(self, case):
+        p, a, b = case
+        prod = a * b
+        assert all(0 <= c < p for c in prod.coeffs)
+        assert not prod.coeffs or prod.coeffs[-1] != 0
+        naive = [0] * (len(a.coeffs) + len(b.coeffs))
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                naive[i + j] += x * y
+        assert prod == FpPoly(p, naive)
