@@ -164,9 +164,6 @@ class FpPoly:
         # the top quotient coefficient comes from the nonzero top of self
         return FpPoly(p, tuple(quo), _trusted=True), FpPoly(p, tuple(rem), _trusted=True)
 
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        return self.divmod(other)[1]
-
     @staticmethod
     def gcd(a: "FpPoly", b: "FpPoly") -> "FpPoly":
         """Monic gcd (zero only for gcd(0, 0)), by Euclid on remainders alone."""
@@ -458,9 +455,12 @@ class Field:
         if self.kind == "real":
             if isinstance(x, str):
                 try:
-                    return float(Fraction(x)) if "/" in x else float(x)
-                except ValueError as exc:
+                    v = float(Fraction(x)) if "/" in x else float(x)
+                except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad real literal {x!r}") from exc
+                if not math.isfinite(v):
+                    raise ParseError(f"non-finite real literal {x!r}")
+                return v
             return float(x)
         if self.kind == "padic":
             if isinstance(x, Fraction):

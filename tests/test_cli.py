@@ -150,6 +150,14 @@ class TestMainExitCodes:
         assert main(["analyze", "--input", path]) == 3
         assert "SINGULAR" in capsys.readouterr().err
 
+    def test_other_constructor_failure_is_2(self, tmp_path, capsys):
+        path = write(tmp_path, "r.json", {
+            "field": {"type": "padic", "p": 5},
+            "generators": {"a": [["1", "0"], ["0", "1"]], "b": [["1"]]},
+        })
+        assert main(["analyze", "--input", path]) == 2
+        assert "mixed sizes" in capsys.readouterr().err
+
     def test_success_is_0(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", TRIANGULAR)
         assert main(["analyze", "--input", path]) == 0

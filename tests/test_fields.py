@@ -123,6 +123,9 @@ class TestTextEncoding:
         for zero_den in ("T/0", "1/3", "T/T^2+2*T^2"):  # 3 = 0 and T^2+2*T^2 = 0 in F_3
             with pytest.raises(ParseError):
                 F3.parse(zero_den)
+        for bad_real in ("1/0", "nan", "inf", "-1e999"):
+            with pytest.raises(ParseError):
+                R.parse(bad_real)
 
     def test_field_descriptor_round_trip(self):
         for f in (Q5, F3, R):
