@@ -29,7 +29,7 @@ from .errors import (
     NotInvariantError,
     SingularMatrixError,
 )
-from .fields import Field, REAL_TOLERANCE
+from .fields import Field, FpPoly, FpRat, REAL_TOLERANCE
 from .linalg import Matrix, rref, solve_linear
 
 PROBE_SEED = 0x5EED
@@ -830,27 +830,56 @@ def iter_reduced_words(symbols, max_len: int):
         frontier = nxt
 
 
+def _cleared(m: Matrix):
+    """``(P, d)`` with ``m = P / d`` and P free of denominators, over F_p(T).
+
+    ``d`` is the lcm of the entries' denominators, as a field element.  The
+    other fields have no such split: there ``d`` is None and P is ``m``.
+    """
+    field = m.field
+    if field.kind != "funcfield":
+        return m, None
+    lcm = FpPoly.const(field.p, 1)
+    for row in m.data:
+        for x in row:
+            lcm = lcm * x.den.divmod(FpPoly.gcd(lcm, x.den))[0]
+    d = FpRat(lcm)
+    return m.scale(d), d
+
+
 def trace_fingerprint(rho: Representation, max_len: int) -> tuple:
-    """Traces of all freely reduced words up to ``max_len``, shortlex order."""
-    mats = {}
+    """Traces of all freely reduced words up to ``max_len``, shortlex order.
+
+    Over F_p(T) every letter is taken as P / d with P polynomial
+    (:func:`_cleared`), so the word products stay on the gcd-free
+    polynomial path of :class:`FpRat` and each trace is divided once by the
+    product of its letters' d.  The cost then hardly depends on whether the
+    generators' inverses happen to be polynomial.
+    """
+    letters = {}
     for s in rho.symbols:
-        mats[(s, 1)] = rho.gens[s]
-        mats[(s, -1)] = rho.inverses()[s]
-    alphabet = list(mats)
-    frontier = [((letter,), mats[letter]) for letter in alphabet]
-    traces = [m.trace() for _, m in frontier]
+        letters[(s, 1)] = _cleared(rho.gens[s])
+        letters[(s, -1)] = _cleared(rho.inverses()[s])
+    alphabet = list(letters)
+    frontier = [((letter,),) + letters[letter] for letter in alphabet]
+    traces = [_trace(m, d) for _, m, d in frontier]
     for _ in range(max_len - 1):
         nxt = []
-        for word, m in frontier:
+        for word, m, d in frontier:
             last = word[-1]
             for letter in alphabet:
                 if letter[0] == last[0] and letter[1] == -last[1]:
                     continue
-                nm = m * mats[letter]
-                nxt.append((word + (letter,), nm))
-                traces.append(nm.trace())
+                lm, ld = letters[letter]
+                nm, nd = m * lm, None if d is None else d * ld
+                nxt.append((word + (letter,), nm, nd))
+                traces.append(_trace(nm, nd))
         frontier = nxt
     return tuple(traces)
+
+
+def _trace(m: Matrix, d):
+    return m.trace() if d is None else m.trace() / d
 
 
 def fingerprints_match(field: Field, fp1, fp2, tol: float = 1e-6) -> bool:

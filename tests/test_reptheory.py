@@ -254,6 +254,21 @@ class TestWords:
         # 4 letters, then 4 * 3 reduced two-letter words
         assert len(fp) == 4 + 12
 
+    @pytest.mark.parametrize("field, gens", [
+        (F3, {"a": [["1/T", "T+1"], [1, "T"]], "b": [["T+2", "1/T+1"], [0, "T"]]}),
+        (Q5, {"a": [["1/5", 2], [1, 3]], "b": [[2, "1/3"], [0, 5]]}),
+    ])
+    def test_fingerprint_is_word_traces(self, field, gens):
+        # entries with denominators and generators whose inverses have them too
+        rho = rep(field, gens)
+        traces = []
+        for word in iter_reduced_words(rho.symbols, 4):
+            m = Matrix.identity(field, rho.n)
+            for s, e in word:
+                m = m * (rho.gens[s] if e == 1 else rho.gens[s].inv())
+            traces.append(m.trace())
+        assert trace_fingerprint(rho, 4) == tuple(traces)
+
     def test_fingerprint_conjugation_invariant(self):
         rho = rep(Q5, {"a": [[2, 1], [0, 3]], "b": [[0, 1], [1, 0]]})
         h = Matrix.from_rows(Q5, [[1, 1], [2, 3]])
