@@ -40,7 +40,6 @@ from .symspace import (
     minimize_displacement,
 )
 from .tree import (
-    ProductPoint,
     TreeVertex,
     neighbors,
     product_counterexample,
@@ -68,7 +67,7 @@ __all__ = [
     "ATTAINED", "DIVERGED", "MAXITER", "DisplacementReport", "SPDPoint",
     "check_symmetry_at_min", "displacement", "dist", "grad_objective",
     "minimize_displacement",
-    "ProductPoint", "TreeVertex", "neighbors", "product_counterexample",
+    "TreeVertex", "neighbors", "product_counterexample",
     "translation_length", "tree_dist", "vertex_displacement",
     "CrClass", "lambda_class_invariant", "project", "same_point_in_Xcr",
     "separation_experiment",

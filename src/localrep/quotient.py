@@ -18,11 +18,9 @@ from .errors import (
     NotRealFieldError,
 )
 from .reptheory import (
-    INCONCLUSIVE,
     Representation,
-    are_conjugate_ss,
     fingerprints_match,
-    find_invertible_intertwiner,
+    same_class,
     semisimplify,
     trace_fingerprint,
 )
@@ -68,33 +66,26 @@ def _check_comparable(r1: Representation, r2: Representation):
 def same_point_in_Xcr(r1: Representation, r2: Representation):
     """Do the orbit closures meet, i.e. do both project to the same class?
 
-    Returns True, False or INCONCLUSIVE (propagated from the intertwiner
-    sweep).  Fingerprints are compared first as a necessary filter.
+    Returns True or False: :func:`~localrep.reptheory.same_class` on the two
+    semisimplifications.
     """
     _check_comparable(r1, r2)
-    c1 = project(r1, with_lambda=False)
-    c2 = project(r2, with_lambda=False)
-    if not fingerprints_match(r1.field, c1.fingerprint, c2.fingerprint):
-        return False
-    return are_conjugate_ss(c1.canonical, c2.canonical, check_cr=False)
+    return same_class(semisimplify(r1).rho_ss, semisimplify(r2).rho_ss)[0]
 
 
 @dataclass(frozen=True)
 class SeparationResult:
     """Pairwise separation table over a finite family."""
 
-    matrix: tuple                 # rows of True / False / INCONCLUSIVE
+    matrix: tuple                 # rows of True / False
     lambdas: tuple                # per-member lambda (real field) or None
     evidence: dict                # (i, j) -> short description of the verdict
     transitive: bool
     symmetric: bool
 
     def to_json_dict(self) -> dict:
-        def cell(v):
-            return "inconclusive" if v is INCONCLUSIVE else bool(v)
-
         return {
-            "matrix": [[cell(v) for v in row] for row in self.matrix],
+            "matrix": [list(row) for row in self.matrix],
             "lambda": None if self.lambdas is None else list(self.lambdas),
             "evidence": {f"{i},{j}": e for (i, j), e in sorted(self.evidence.items())},
             "transitive": self.transitive,
@@ -106,8 +97,9 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
     """Pairwise same-class table, with evidence and consistency checks.
 
     Classes are computed once per member; each pair records either the index
-    of the first fingerprint disagreement or the conjugator found.  The
-    boolean table is checked for symmetry and transitivity.
+    of the first fingerprint disagreement or the evidence of
+    :func:`~localrep.reptheory.same_class`.  The boolean table is checked
+    for symmetry and transitivity.
     """
     family = list(family)
     if not family:
@@ -122,7 +114,6 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
     for i in range(n):
         for j in range(i + 1, n):
             ci, cj = classes[i], classes[j]
-            verdict = None
             if not fingerprints_match(field, ci.fingerprint, cj.fingerprint):
                 k = next(
                     idx for idx, (a, b) in enumerate(zip(ci.fingerprint, cj.fingerprint))
@@ -131,16 +122,7 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
                 verdict = False
                 evidence[(i, j)] = f"fingerprint mismatch at word index {k}"
             else:
-                conj, dim_hom = find_invertible_intertwiner(ci.canonical, cj.canonical)
-                if conj is not None:
-                    verdict = True
-                    evidence[(i, j)] = "conjugator found"
-                elif dim_hom == 0:
-                    verdict = False
-                    evidence[(i, j)] = "no intertwiner"
-                else:
-                    verdict = INCONCLUSIVE
-                    evidence[(i, j)] = "intertwiner sweep inconclusive"
+                verdict, evidence[(i, j)] = same_class(ci.canonical, cj.canonical)
             matrix[i][j] = verdict
             matrix[j][i] = verdict
     transitive = True

@@ -34,6 +34,7 @@ from .linalg import Matrix, rref, solve_linear
 
 PROBE_SEED = 0x5EED
 INTERTWINER_RANDOM_TRIALS = 64
+FINGERPRINT_TOLERANCE = 1e-6
 
 _active_seed = contextvars.ContextVar("localrep_probe_seed", default=PROBE_SEED)
 
@@ -49,7 +50,11 @@ def probe_seed(seed: int):
 
 
 class _Inconclusive:
-    """Tri-state marker for conjugacy tests that could not be settled."""
+    """Falsy marker once returned by conjugacy tests that could not settle.
+
+    Kept for callers that import it.  Nothing returns it any more: the
+    Hom/End dimension test of :func:`same_class` always settles.
+    """
 
     __slots__ = ()
 
@@ -109,14 +114,6 @@ class Representation:
 
     def dual(self) -> "Representation":
         return Representation(self.field, {s: m.transpose() for s, m in self.inverses().items()})
-
-    def word_image(self, word) -> Matrix:
-        """Image of a word given as a sequence of (symbol, +1|-1) letters."""
-        out = Matrix.identity(self.field, self.n)
-        inv = self.inverses()
-        for sym, exp in word:
-            out = out * (self.gens[sym] if exp > 0 else inv[sym])
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
@@ -430,30 +427,6 @@ def word_algebra_basis(rho: Representation, cap: int | None = None):
     return basis
 
 
-def commutant_basis(rho: Representation):
-    """Basis of matrices commuting with every generator."""
-    n = rho.n
-    field = rho.field
-    rows = []
-    for m in rho.gens.values():
-        for i in range(n):
-            for j in range(n):
-                row = [field.zero()] * (n * n)
-                # (X m - m X)_{ij} = sum_l X_il m_lj - sum_k m_ik X_kj
-                for l in range(n):
-                    row[i * n + l] = row[i * n + l] + m.data[l][j]
-                for k in range(n):
-                    row[k * n + j] = row[k * n + j] - m.data[i][k]
-                rows.append(row)
-    res = rref(field, rows)
-    out = []
-    for vec in res.kernel:
-        out.append(Matrix(field, tuple(
-            tuple(vec[i * n + j] for j in range(n)) for i in range(n)
-        )))
-    return out
-
-
 def _is_scalar(field: Field, m: Matrix) -> bool:
     sc = m.entry_scale()
     d = m.data[0][0]
@@ -586,7 +559,7 @@ def invariant_subspace_candidates(rho: Representation):
             if got:
                 yield got
 
-        comm = commutant_basis(rho)
+        comm = intertwiner_space(rho, rho)
         nonscalar = [c for c in comm if not _is_scalar(field, c)]
         for c in nonscalar:
             if field.is_zero(c.det(), c.entry_scale()):
@@ -882,7 +855,7 @@ def _trace(m: Matrix, d):
     return m.trace() if d is None else m.trace() / d
 
 
-def fingerprints_match(field: Field, fp1, fp2, tol: float = 1e-6) -> bool:
+def fingerprints_match(field: Field, fp1, fp2, tol: float = FINGERPRINT_TOLERANCE) -> bool:
     if len(fp1) != len(fp2):
         return False
     if field.is_real:
@@ -912,48 +885,79 @@ def intertwiner_space(r1: Representation, r2: Representation):
     ]
 
 
-def find_invertible_intertwiner(r1: Representation, r2: Representation):
-    """An invertible intertwiner, or None when the sweep fails.
+def _intertwiner_draws(field: Field, n: int, basis):
+    """The basis, then seeded combinations of it, drawn one at a time.
 
-    Sweeps the basis elements, small integer combinations (coefficients in
-    -2..2) and then a fixed number of seeded random combinations.
+    Coefficients come from a fixed set S of at least 2n elements: the
+    integers 0..2n-1 over Q and R, the polynomials in T of degree < k with
+    p^k >= 2n over F_p(T).  When the span holds an invertible element, det
+    is a nonzero polynomial of degree at most n in the coefficients, so by
+    Schwartz-Zippel each combination is invertible with probability at
+    least 1 - n/|S| >= 1/2.  A one-element basis has only its own multiples.
+    """
+    yield from basis
+    if len(basis) < 2:
+        return
+    k = 1
+    while field.kind == "funcfield" and field.p ** k < 2 * n:
+        k += 1
+    rng = random.Random(_active_seed.get())
+    for _ in range(INTERTWINER_RANDOM_TRIALS):
+        m = Matrix.zeros(field, n)
+        for b in basis:
+            if field.kind == "funcfield":
+                c = FpPoly(field.p, [rng.randrange(field.p) for _ in range(k)])
+            else:
+                c = rng.randrange(2 * n)
+            m = m + b.scale(c)
+        yield m
+
+
+def find_invertible_intertwiner(r1: Representation, r2: Representation):
+    """``(M, dim Hom)``: an invertible intertwiner M, or None if none was drawn.
+
+    Tests the draws of :func:`_intertwiner_draws` as they come.  When r1 and
+    r2 are isomorphic the search fails with probability at most
+    2^-INTERTWINER_RANDOM_TRIALS.
     """
     field = r1.field
     basis = intertwiner_space(r1, r2)
-    if not basis:
-        return None, 0
-    candidates = list(basis)
-    d = len(basis)
-    if 1 < d <= 5:
-        for coeffs in itertools.product((-2, -1, 0, 1, 2), repeat=d):
-            if not any(coeffs):
-                continue
-            m = Matrix.zeros(field, r1.n)
-            for c, b in zip(coeffs, basis):
-                m = m + b.scale(c)
-            candidates.append(m)
-    rng = random.Random(_active_seed.get())
-    for _ in range(INTERTWINER_RANDOM_TRIALS):
-        m = Matrix.zeros(field, r1.n)
-        for b in basis:
-            m = m + b.scale(rng.randint(-9, 9))
-        candidates.append(m)
-    for m in candidates:
+    for m in _intertwiner_draws(field, r1.n, basis):
         if not field.is_zero(m.det(), m.entry_scale()):
-            return m, d
-    return None, d
+            return m, len(basis)
+    return None, len(basis)
 
 
-def are_conjugate_ss(r1: Representation, r2: Representation, check_cr: bool = True):
+def same_class(r1: Representation, r2: Representation):
+    """``(verdict, evidence)``: are the semisimple tuples r1 and r2 conjugate?
+
+    Semisimple M = (+) S_i^a_i and N = (+) S_i^b_i have dim Hom(M, N) =
+    sum a_i b_i d_i with d_i = dim End(S_i), so by Cauchy-Schwarz M and N
+    are isomorphic exactly when dim Hom(M, N) = dim End(M) = dim End(N), in
+    every characteristic.  An invertible intertwiner X settles the question
+    at once: Y -> XY and Y -> YX^-1 carry End(M) onto Hom(M, N) onto End(N),
+    so the three dimensions agree, and only a failed witness search pays for
+    the two End systems.  Both inputs must be completely reducible; no
+    check is made here.
+    """
+    conj, hom = find_invertible_intertwiner(r1, r2)
+    if conj is not None:
+        return True, "conjugator found"
+    if hom == 0:
+        return False, "no intertwiner"
+    end1 = len(intertwiner_space(r1, r1))
+    end2 = len(intertwiner_space(r2, r2))
+    if hom == end1 == end2:
+        return True, f"dim Hom = dim End = {hom}"
+    return False, f"dim Hom = {hom}, dim End = {end1} and {end2}"
+
+
+def are_conjugate_ss(r1: Representation, r2: Representation, check_cr: bool = True) -> bool:
     """Simultaneous conjugacy of two completely reducible tuples.
 
-    Returns True, False or INCONCLUSIVE.  An explicit invertible intertwiner
-    (verified exactly) is the positive verdict and an empty intertwiner
-    space the negative one; the trace fingerprint up to word length n^2 is
-    the necessary cross-check that settles most remaining cases.
-    INCONCLUSIVE is only reported when an intertwiner space exists, the
-    fingerprints agree, and the sweep failed to produce an invertible
-    element.
+    Returns True or False, decided by the Hom/End dimensions of
+    :func:`same_class`.  With ``check_cr`` both inputs are first checked to
+    be completely reducible, which the dimension test needs.
     """
     if r1.field != r2.field:
         raise FieldMismatchError(f"{r1.field} vs {r2.field}")
@@ -963,19 +967,4 @@ def are_conjugate_ss(r1: Representation, r2: Representation, check_cr: bool = Tr
         raise GeneratorMismatchError("generator symbol sets differ")
     if check_cr and (not is_cr(r1) or not is_cr(r2)):
         raise NotCrError("both inputs must be completely reducible")
-    max_len = r1.n * r1.n
-    # short fingerprint first: a cheap necessary filter
-    short = min(2, max_len)
-    if not fingerprints_match(r1.field, trace_fingerprint(r1, short),
-                              trace_fingerprint(r2, short)):
-        return False
-    m, dim_hom = find_invertible_intertwiner(r1, r2)
-    if m is not None:
-        return True
-    if dim_hom == 0:
-        return False
-    fp1 = trace_fingerprint(r1, max_len)
-    fp2 = trace_fingerprint(r2, max_len)
-    if not fingerprints_match(r1.field, fp1, fp2):
-        return False
-    return INCONCLUSIVE
+    return same_class(r1, r2)[0]

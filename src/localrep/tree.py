@@ -182,25 +182,6 @@ def translation_length(g: Matrix, radius: int):
 
 
 @dataclass(frozen=True)
-class ProductPoint:
-    """A point of the product of two trees over the same prime."""
-
-    v1: TreeVertex
-    v2: TreeVertex
-
-    def __post_init__(self):
-        if self.v1.p != self.v2.p:
-            raise PrimeMismatchError("components over different primes")
-
-
-def product_displacement(g1: Matrix, g2: Matrix, pt: ProductPoint) -> float:
-    """Displacement of (g1, g2) at a product point (L2 combination)."""
-    d1 = vertex_displacement(g1, pt.v1)
-    d2 = vertex_displacement(g2, pt.v2)
-    return (d1 * d1 + d2 * d2) ** 0.5
-
-
-@dataclass(frozen=True)
 class CounterexampleReport:
     """Product-of-trees pair: minimum attained on a stable subspace, not cr.
 

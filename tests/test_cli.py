@@ -164,6 +164,19 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1
 
+    def test_separate_trace_blind_pair(self, tmp_path, capsys):
+        # equal word traces over F3(T), yet not conjugate: dim Hom 1, dim End 10
+        def member(x):
+            return {"field": {"type": "funcfield", "p": 3}, "n": 4, "generators": {"a": [
+                [x, "0", "0", "0"], ["0", x, "0", "0"], ["0", "0", x, "0"],
+                ["0", "0", "0", "T+1"]]}}
+
+        path = write(tmp_path, "fam.json", {"family": [member("T"), member("T+2")]})
+        assert main(["separate", "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["matrix"] == [[True, False], [False, True]]
+        assert "inconclusive" not in out
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", REAL_DIAG)
         assert main(["minimize", "--input", path, "--seed", "0x5EED"]) == 0

@@ -9,17 +9,20 @@ from localrep import (
     INCONCLUSIVE,
     Matrix,
     Representation,
+    are_conjugate_ss,
     lambda_class_invariant,
     project,
     same_point_in_Xcr,
     semisimplify,
     separation_experiment,
+    trace_fingerprint,
 )
 from localrep.errors import NotRealFieldError
 from localrep.parabolic import build_neighbors
 
 Q5 = Field.padic(5)
 Q11 = Field.padic(11)
+F3 = Field.funcfield(3)
 R = Field.real()
 
 
@@ -80,6 +83,29 @@ class TestSamePoint:
         for entry in exact_corpus[:6] + exact_corpus[30:36]:
             ss = semisimplify(entry.rep).rho_ss
             assert same_point_in_Xcr(entry.rep, ss) is True, entry.name
+
+
+class TestTraceBlindPair:
+    """Over F3(T), diag(T, T, T, T+1) and diag(T+2, T+2, T+2, T+1) have equal
+    word traces (3 x(w) = 0), dim Hom = 1 and dim End = 10: not conjugate."""
+
+    a = rep(F3, {"a": [["T", 0, 0, 0], [0, "T", 0, 0], [0, 0, "T", 0], [0, 0, 0, "T+1"]]})
+    b = rep(F3, {"a": [["T+2", 0, 0, 0], [0, "T+2", 0, 0], [0, 0, "T+2", 0],
+                       [0, 0, 0, "T+1"]]})
+
+    def test_traces_agree(self):
+        assert trace_fingerprint(self.a, 4) == trace_fingerprint(self.b, 4)
+
+    def test_not_conjugate(self):
+        assert are_conjugate_ss(self.a, self.b) is False
+
+    def test_different_points(self):
+        assert same_point_in_Xcr(self.a, self.b) is False
+
+    def test_separation_names_dimensions(self):
+        result = separation_experiment([self.a, self.b])
+        assert result.matrix == ((True, False), (False, True))
+        assert result.evidence[(0, 1)] == "dim Hom = 1, dim End = 10 and 10"
 
 
 class TestSeparationExperiment:

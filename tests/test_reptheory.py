@@ -16,13 +16,18 @@ from localrep import (
     trace_fingerprint,
 )
 from localrep.errors import NotCrError, NotInvariantError
-from localrep.reptheory import iter_reduced_words
+from localrep.reptheory import (
+    find_invertible_intertwiner,
+    intertwiner_space,
+    iter_reduced_words,
+)
 
 from conftest import trace_form_is_cr
 
 Q5 = Field.padic(5)
 Q7 = Field.padic(7)
 F3 = Field.funcfield(3)
+R = Field.real()
 
 
 def rep(field, gens):
@@ -237,6 +242,41 @@ class TestConjugacy:
         r1 = rep(F3, {"a": [["T", 0], [0, "T+1"]]})
         h = Matrix.from_rows(F3, [[1, 1], [1, 2]])
         assert are_conjugate_ss(r1, r1.conjugate_by(h)) is True
+
+
+def _matrices_equal(field, x, y):
+    scale = max(x.entry_scale(), y.entry_scale())
+    return all(field.eq(a, b, scale)
+               for ra, rb in zip(x.data, y.data) for a, b in zip(ra, rb))
+
+
+class TestWitness:
+    """``find_invertible_intertwiner`` returns ``(M, dim Hom)`` with M invertible."""
+
+    @pytest.mark.parametrize("field, gens, h, dim_hom", [
+        (Q5, {"a": [[2, 0, 0], [0, 3, 0], [0, 0, 3]], "b": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]},
+         [[1, 2, 0], [0, 1, 1], [1, 0, 2]], 3),
+        (F3, {"a": [["T", 0], [0, "T+1"]]}, [[1, 1], [1, 2]], 2),
+        # isotypic x + x + x: every basis element of Hom may be singular
+        (F3, {"a": [["T", 0, 0], [0, "T", 0], [0, 0, "T"]],
+              "b": [["T+1", 0, 0], [0, "T+1", 0], [0, 0, "T+1"]]},
+         [["T", 1, 0], [0, 1, "T"], [1, 0, 1]], 9),
+        (R, {"a": [[2.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]},
+         [[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 1.0]], 5),
+    ])
+    def test_conjugate_pairs(self, field, gens, h, dim_hom):
+        r1 = rep(field, gens)
+        r2 = r1.conjugate_by(Matrix.from_rows(field, h))
+        m, d = find_invertible_intertwiner(r1, r2)
+        assert d == len(intertwiner_space(r1, r2)) == dim_hom
+        assert not field.is_zero(m.det(), m.entry_scale())
+        for s in r1.symbols:
+            assert _matrices_equal(field, m * r1.gens[s], r2.gens[s] * m)
+
+    def test_no_intertwiner(self):
+        r1 = rep(Q5, {"a": [[2, 0], [0, 3]]})
+        r2 = rep(Q5, {"a": [[5, 0], [0, 7]]})
+        assert find_invertible_intertwiner(r1, r2) == (None, 0)
 
 
 class TestWords:
