@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import jsonio, quotient, symspace, tree
 from .errors import LocalRepError, ParseError
+from .fields import Field
 from .parabolic import BlockStructure, FundamentalSequence, build_neighbors
 from .reptheory import (
     PROBE_SEED,
@@ -51,6 +51,11 @@ class JobSpec:
             raise ParseError("radius must be in 1..6 (ball sizes grow fast)")
         if not 1 <= self.budget <= 100000:
             raise ParseError("budget must be in 1..100000")
+        if self.p is not None:
+            try:
+                Field.padic(self.p)
+            except ValueError as exc:
+                raise ParseError(f"bad --p: {exc}") from exc
 
 
 def _load_rep(path):
@@ -142,8 +147,9 @@ def run(job: JobSpec):
         elif job.command == "counterexample":
             if job.p is None or job.t is None:
                 raise ParseError("counterexample needs --p and --t")
+            # the p-adic field parses --t, so a bad literal is a ParseError
             report = tree.product_counterexample(
-                job.p, Fraction(job.t), imax=job.imax, radius=job.radius)
+                job.p, job.t, imax=job.imax, radius=job.radius)
             payload.update(report.to_json_dict())
     return 0, payload
 

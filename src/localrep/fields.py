@@ -31,14 +31,41 @@ INFINITY = math.inf
 REAL_TOLERANCE = 1e-9
 
 
+#: Miller-Rabin on the prime bases 2..41 decides primality exactly below this
+#: bound (Sorenson and Webster, 2015); a larger p is rejected
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: most digits a p-adic (rational) literal may stand for, its decimal
+#: exponent counted in full ("1e-999" is 1000 digits), and the longest
+#: coefficient of a rational-function literal
+LITERAL_DIGITS_CAP = 1000
+#: highest power of T a rational-function literal may name
+LITERAL_DEGREE_CAP = 1000
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"primes must be below {PRIME_BOUND}, got {p}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -235,11 +262,15 @@ def _parse_poly(p: int, text: str) -> FpPoly:
         m = _TERM_RE.match(chunk)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ParseError(f"bad polynomial term {chunk!r}")
-        coeff = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(2) is None:
-            k = 0
-        else:
-            k = int(m.group(3)) if m.group(3) is not None else 1
+        digits = m.group(1) or "1"
+        power = (m.group(3) or "1").lstrip("0") or "0"
+        # lengths first: int() is slow on a long digit string
+        if len(digits) > LITERAL_DIGITS_CAP:
+            raise ParseError(f"coefficient longer than {LITERAL_DIGITS_CAP} digits")
+        if len(power) > len(str(LITERAL_DEGREE_CAP)) or int(power) > LITERAL_DEGREE_CAP:
+            raise ParseError(f"power of T above {LITERAL_DEGREE_CAP} in {chunk[:40]!r}")
+        coeff = int(digits)
+        k = 0 if m.group(2) is None else int(power)
         result = result + FpPoly.t_power(p, k, sign * coeff)
     return result
 
@@ -393,6 +424,24 @@ class FpRat:
         return f"FpRat(p={self.p}, {self!s})"
 
 
+def _check_literal_size(text: str):
+    """ParseError when a decimal literal stands for more than the digit cap.
+
+    ``Fraction("1e-999999")`` parses quickly into a million-digit integer
+    that every later operation pays for, so the exponent counts as digits.
+    Lengths are compared before any ``int()``, which is slow on long strings.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").lstrip("0")
+    digits = sum(c.isdigit() for c in mantissa)
+    if len(exponent) > len(str(LITERAL_DIGITS_CAP)):
+        digits += LITERAL_DIGITS_CAP + 1
+    elif exponent.isdigit():
+        digits += int(exponent)
+    if digits > LITERAL_DIGITS_CAP:
+        raise ParseError(f"literal {text[:40]!r} stands for more than {LITERAL_DIGITS_CAP} digits")
+
+
 # ---------------------------------------------------------------------------
 # field descriptors
 
@@ -411,7 +460,7 @@ class Field:
             if self.p is not None:
                 raise ValueError("real field takes no prime")
         else:
-            if self.p is None or not _is_prime(self.p):
+            if not isinstance(self.p, int) or not _is_prime(self.p):
                 raise ValueError(f"{self.kind} field needs a prime, got {self.p!r}")
 
     @classmethod
@@ -468,6 +517,7 @@ class Field:
             if isinstance(x, int):
                 return Fraction(x)
             if isinstance(x, str):
+                _check_literal_size(x)
                 try:
                     return Fraction(x)
                 except (ValueError, ZeroDivisionError) as exc:

@@ -140,6 +140,18 @@ class Matrix:
             t = t + self.data[i][i]
         return t
 
+    def trace_of_product(self, other: "Matrix"):
+        """tr(self * other) without forming the product: O(n^2), not O(n^3).
+
+        Adds the diagonal entries of the product in the order of
+        ``(self * other).trace()``, so float results agree bit for bit.
+        """
+        self._check(other)
+        t = self.field.zero()
+        for i, row in enumerate(self.data):
+            t = t + _dot(row, other.column(i))
+        return t
+
     def det(self):
         return _det(self.field, [list(r) for r in self.data])
 

@@ -71,7 +71,7 @@ INCONCLUSIVE = _Inconclusive()
 class Representation:
     """A finite tuple of invertible n x n matrices over one field."""
 
-    __slots__ = ("field", "n", "gens", "_inverses")
+    __slots__ = ("field", "n", "gens", "_inverses", "_battery_walks")
 
     def __init__(self, field: Field, gens: dict):
         if not gens:
@@ -94,6 +94,8 @@ class Representation:
         self.n = n
         self.gens = mats
         self._inverses = None
+        # probe seed -> [candidates found, live battery or None once exhausted]
+        self._battery_walks = {}
 
     @classmethod
     def from_entries(cls, field: Field, gens: dict) -> "Representation":
@@ -500,6 +502,43 @@ def _rational_eigenvalues(m: Matrix):
 def invariant_subspace_candidates(rho: Representation):
     """Yield verified proper nonzero invariant subspaces, cheapest first.
 
+    A lazy, memoised walk of :func:`_battery`.  The candidates found so far
+    are kept on ``rho``, one list per probe seed; every walk yields them in
+    the battery's order, and the live battery is advanced only when a walk
+    asks for more.  So :func:`is_nonparabolic`, :func:`is_cr` and
+    :func:`composition_series` on one ``rho`` pay for each layer once.  A
+    battery that raises is dropped, never taken for an exhausted one: that
+    would make a reducible tuple read as irreducible.
+    """
+    seed = _active_seed.get()
+    walks = rho._battery_walks
+    i = 0
+    while True:
+        memo = walks.get(seed)
+        if memo is None:
+            memo = walks[seed] = [[], _battery(rho)]
+        found, live = memo
+        if i < len(found):
+            yield found[i]
+            i += 1
+            continue
+        if live is None:
+            return
+        try:
+            with probe_seed(seed):
+                found.append(next(live))
+        except StopIteration:
+            memo[1] = None
+            return
+        except BaseException:
+            if walks.get(seed) is memo:
+                del walks[seed]
+            raise
+
+
+def _battery(rho: Representation):
+    """The search behind :func:`invariant_subspace_candidates`, run afresh.
+
     Layers: spins of standard and seeded probe vectors, the same for the
     dual action (annihilators), pairwise intersections, the subspace moved
     by the trace-form radical of the word algebra, and kernels of singular
@@ -546,7 +585,7 @@ def invariant_subspace_candidates(rho: Representation):
     algebra = word_algebra_basis(rho)
     d = len(algebra)
     if d < n * n:
-        gram = [[(a * b).trace() for b in algebra] for a in algebra]
+        gram = [[a.trace_of_product(b) for b in algebra] for a in algebra]
         res = rref(field, gram)
         for coeffs in res.kernel:
             jmat = Matrix.zeros(field, n)

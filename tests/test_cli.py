@@ -141,6 +141,19 @@ class TestMainExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "zero denominator" in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "4", "--t", "1/4"], "needs a prime"),
+        (["--p", "5", "--t", "abc"], "bad rational literal"),
+        (["--p", "5", "--t", "1/0"], "bad rational literal"),
+        (["--p", "5", "--t", "1e-1000"], "digits"),
+    ])
+    def test_bad_counterexample_parameter_is_2(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "localrep.cli", "counterexample", *argv],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and message in proc.stderr
+
     def test_singular_generator_is_3(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", {
             "field": {"type": "padic", "p": 5},

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from localrep import Field, FpPoly, FpRat, INFINITY
 from localrep.errors import ParseError, RealHasNoValuation
+from localrep.fields import LITERAL_DEGREE_CAP, LITERAL_DIGITS_CAP, PRIME_BOUND, _is_prime
 
 Q5 = Field.padic(5)
 F3 = Field.funcfield(3)
@@ -136,6 +138,42 @@ class TestTextEncoding:
             Field.padic(4)
         with pytest.raises(ValueError):
             Field.funcfield(1)
+
+    def test_miller_rabin_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(-3, 5000) if _is_prime(n)] == \
+            [n for n in range(-3, 5000) if trial(n)]
+
+    def test_large_primes_are_fast_and_exact(self):
+        assert Field.padic(2 ** 61 - 1).p == 2 ** 61 - 1  # Mersenne; ~1e9 trial divisions
+        assert _is_prime(1000000000000000003)
+        for carmichael in (561, 41041, 3215031751):  # the last fools bases 2, 3, 5, 7
+            assert not _is_prime(carmichael)
+        # a strong pseudoprime to the bases 2..31, caught by base 37
+        assert not _is_prime(3825123056546413051)
+
+    def test_prime_past_the_bound_is_rejected(self):
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            Field.padic(PRIME_BOUND + 2)
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            Field.from_json({"type": "funcfield", "p": PRIME_BOUND})
+
+    def test_literal_caps(self):
+        cap, deg = LITERAL_DIGITS_CAP, LITERAL_DEGREE_CAP
+        assert Q5.parse(f"1e-{cap - 1}") == Fraction(1, 10 ** (cap - 1))
+        assert Q5.parse("7" * cap) == int("7" * cap)
+        assert F3.parse(f"T^{deg}").num.degree == deg
+        for past in (f"1e-{cap}", f"2E+{cap}", "7" * (cap + 1), f"{'1' * cap}e1",
+                     "1e-" + "9" * 20):
+            with pytest.raises(ParseError, match="digits"):
+                Q5.parse(past)
+        for past in (f"T^{deg + 1}", f"T+T^{deg + 1}/T", "T^" + "9" * 20):
+            with pytest.raises(ParseError, match="power of T"):
+                F3.parse(past)
+        with pytest.raises(ParseError, match="coefficient"):
+            F3.parse("1" * (cap + 1) + "*T")
 
 
 def _euclid(a: FpPoly, b: FpPoly) -> FpPoly:

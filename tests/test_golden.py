@@ -1,0 +1,85 @@
+"""Golden reports: `analyze` and `semisimplify` output pinned byte for byte.
+
+Each case is a small fixed input over R, Q5 or F3(T): irreducible, split
+(reducible and completely reducible) or non-split.  The expected text in
+``golden_reports.json`` is ``jsonio.dumps`` of the CLI payload, so a
+performance change to any layer under these commands must leave the
+reports exactly as they were.
+
+To regenerate after an intended change of output::
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_reports.json
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from localrep import jsonio
+from localrep.cli import JobSpec, run
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+COMMANDS = ("analyze", "semisimplify")
+
+
+def _rep(field, **gens):
+    return {"field": field, "n": len(next(iter(gens.values()))), "generators": gens}
+
+
+R = {"type": "real"}
+Q5 = {"type": "padic", "p": 5}
+F3 = {"type": "funcfield", "p": 3}
+
+CASES = {
+    # rotation by a quarter turn: no real eigenvector, word algebra of dim 2
+    "R-irreducible": _rep(R, a=[["0", "-1"], ["1", "0"]]),
+    "R-split": _rep(R, a=[["2", "1"], ["0", "3"]], b=[["3", "-1"], ["0", "2"]]),
+    "R-nonsplit": _rep(R, a=[["1", "1", "0"], ["0", "1", "0"], ["0", "0", "2"]],
+                       b=[["2", "0", "0"], ["0", "2", "0"], ["0", "0", "0.5"]]),
+    # x^2 - 2 has no root in Q; with a unipotent b the algebra is all of M_2
+    "Q5-irreducible": _rep(Q5, a=[["0", "2"], ["1", "0"]]),
+    "Q5-irreducible-pair": _rep(Q5, a=[["0", "2"], ["1", "0"]], b=[["1", "1"], ["0", "1"]]),
+    # diag(2, 3) and diag(1/2, 5), both conjugated by [[1, 1], [1, 2]]
+    "Q5-split": _rep(Q5, a=[["1", "-2"], ["1", "4"]], b=[["-4", "-9"], ["9/2", "19/2"]]),
+    "Q5-nonsplit": _rep(Q5, a=[["0", "2", "1"], ["1", "0", "0"], ["0", "0", "1"]],
+                        b=[["1", "0", "1"], ["0", "1", "0"], ["0", "0", "1"]]),
+    # x^2 - T is irreducible over F3(T)
+    "F3T-irreducible": _rep(F3, a=[["0", "T"], ["1", "0"]]),
+    "F3T-split": _rep(F3, a=[["T", "1"], ["0", "T+1"]]),
+    "F3T-nonsplit": _rep(F3, a=[["T", "1"], ["0", "T"]], b=[["1/T", "0"], ["0", "1/T"]]),
+}
+
+
+def render(case: str, command: str) -> str:
+    """``jsonio.dumps`` of the CLI payload for one case and command."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rep.json"
+        path.write_text(json.dumps(CASES[case]), encoding="utf-8")
+        code, payload = run(JobSpec(command=command, input=str(path)))
+    assert code == 0
+    return jsonio.dumps(payload)
+
+
+def _expected() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, command):
+    assert render(case, command) == _expected()[f"{command}/{case}"]
+
+
+def test_golden_covers_every_case():
+    assert sorted(_expected()) == sorted(f"{c}/{k}" for c in COMMANDS for k in CASES)
+
+
+if __name__ == "__main__":
+    out = {f"{c}/{k}": render(k, c) for c in COMMANDS for k in sorted(CASES)}
+    json.dump(out, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

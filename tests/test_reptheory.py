@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,14 @@ from localrep import (
     trace_fingerprint,
 )
 from localrep.errors import NotCrError, NotInvariantError
+from localrep import reptheory
 from localrep.reptheory import (
+    PROBE_SEED,
     find_invertible_intertwiner,
     intertwiner_space,
+    invariant_subspace_candidates,
     iter_reduced_words,
+    probe_seed,
 )
 
 from conftest import trace_form_is_cr
@@ -242,6 +247,92 @@ class TestConjugacy:
         r1 = rep(F3, {"a": [["T", 0], [0, "T+1"]]})
         h = Matrix.from_rows(F3, [[1, 1], [1, 2]])
         assert are_conjugate_ss(r1, r1.conjugate_by(h)) is True
+
+
+def _fresh(rho):
+    """The same tuple as a new object, with nothing remembered."""
+    return Representation(rho.field, dict(rho.gens))
+
+
+def _walk(rho, seed=PROBE_SEED):
+    with probe_seed(seed):
+        return list(invariant_subspace_candidates(rho))
+
+
+# three invariant lines and three invariant planes, found in a seed-dependent order
+THREE_LINES = ({"a": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}, [[1, 1, 0], [0, 1, 1], [1, 0, 2]])
+# [[C, I], [0, C]] with C the companion of x^2 - 2: no probe spin finds the
+# invariant plane; the trace-form radical, after the word algebra, does
+NONSPLIT_COMPANION = ({"a": [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]]},
+                      [[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [2, 1, 0, 1]])
+
+
+def _conjugated(field, case):
+    gens, h = case
+    return rep(field, gens).conjugate_by(Matrix.from_rows(field, h))
+
+
+class TestBatteryMemo:
+    """Walks of ``invariant_subspace_candidates`` share one battery per tuple and seed."""
+
+    def test_full_and_second_walk(self):
+        rho = _conjugated(Q5, THREE_LINES)
+        expected = _walk(_fresh(rho))
+        assert [len(rows) for rows in expected] == [2, 2, 2, 1, 1, 1]
+        assert _walk(rho) == expected
+        assert _walk(rho) == expected
+
+    def test_partial_then_full_walk(self):
+        rho = _conjugated(Q5, THREE_LINES)
+        expected = _walk(_fresh(rho))
+        partial = invariant_subspace_candidates(rho)
+        assert [next(partial), next(partial)] == expected[:2]
+        assert _walk(rho) == expected
+        assert list(partial) == expected[2:]
+
+    def test_probe_seeds_are_kept_apart(self):
+        rho = _conjugated(Q5, THREE_LINES)
+        default, other = _walk(rho), _walk(rho, seed=1)
+        assert default != other  # the probes order the candidates differently
+        assert default == _walk(_fresh(rho))
+        assert other == _walk(_fresh(rho), seed=1)
+        assert _walk(rho) == default and _walk(rho, seed=1) == other
+
+    def test_failed_battery_is_not_cached_as_exhausted(self, monkeypatch):
+        rho = _conjugated(Q5, NONSPLIT_COMPANION)
+        expected = _walk(_fresh(rho))
+        assert [len(rows) for rows in expected] == [2]
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("word algebra failed")
+
+        monkeypatch.setattr(reptheory, "word_algebra_basis", broken)
+        with pytest.raises(RuntimeError):
+            _walk(rho)
+        monkeypatch.undo()
+        assert _walk(rho) == expected
+        ok, flag = is_nonparabolic(rho)
+        assert not ok and flag.verify(rho)
+
+
+def _random_entry(field, rng):
+    if field.is_real:
+        return rng.uniform(-10.0, 10.0)
+    if field.kind == "padic":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return field.coerce(rng.choice(["0", "1", "2", "T", "2*T+1", "1/T", "T/T+1", "T^2+2/T^2+T+2"]))
+
+
+class TestTraceOfProduct:
+    @pytest.mark.parametrize("field", [R, Q5, F3])
+    def test_equals_trace_of_the_product(self, field):
+        rng = random.Random(11)
+        for n in (1, 2, 3, 5):
+            for _ in range(6):
+                a, b = (Matrix(field, [[_random_entry(field, rng) for _ in range(n)]
+                                       for _ in range(n)]) for _ in range(2))
+                # exact equality, floats included: the sums run in the same order
+                assert a.trace_of_product(b) == (a * b).trace()
 
 
 def _matrices_equal(field, x, y):
