@@ -476,10 +476,6 @@ class Field:
         return cls("funcfield", p)
 
     @property
-    def is_exact(self) -> bool:
-        return self.kind != "real"
-
-    @property
     def is_real(self) -> bool:
         return self.kind == "real"
 
@@ -609,6 +605,8 @@ class Field:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Field":
+        if not isinstance(obj, dict):
+            raise ParseError(f"field descriptor must be an object, got {obj!r}")
         kind = obj.get("type")
         if kind == "real":
             return cls.real()

@@ -58,7 +58,7 @@ def representation_from_json(obj) -> Representation:
     for sym, rows in gens.items():
         m = matrix_from_json(field, rows, where=f"generator {sym!r}")
         if n is not None and m.n != n:
-            raise ParseError(f"generator {sym!r}: size {m.n} does not match n={n}")
+            raise ParseError(f"generator {sym!r}: size {m.n} does not match n={n!r}")
         mats[sym] = m
     try:
         return Representation(field, mats)
@@ -118,3 +118,5 @@ def load_json_file(path: str):
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: unreadable JSON ({exc})") from exc

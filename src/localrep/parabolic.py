@@ -54,13 +54,6 @@ class BlockStructure:
             out.append(out[-1] + s)
         return tuple(out)
 
-    def block_of(self, index: int) -> int:
-        b = self.boundaries
-        for bi in range(self.k):
-            if b[bi] <= index < b[bi + 1]:
-                return bi
-        raise IndexError(index)
-
     def is_block_triangular(self, m: Matrix, side: str = "upper") -> bool:
         sc = m.entry_scale()
         b = self.boundaries
@@ -133,10 +126,6 @@ class FundamentalSequence:
         for size, c in zip(blocks.sizes, cs):
             entries.extend([c] * size)
         return cls(blocks, Matrix.diagonal(field, entries))
-
-    def block_constants(self) -> list:
-        b = self.blocks.boundaries
-        return [self.base.data[b[i]][b[i]] for i in range(self.blocks.k)]
 
     def conjugate_power(self, m: Matrix, i: int) -> Matrix:
         """base^-i * m * base^i, computed entrywise (base is diagonal)."""

@@ -3,13 +3,15 @@
 Every conjugation orbit closure contains exactly one completely reducible
 orbit; projecting onto it and comparing the projections decides whether two
 tuples become equal in the largest separated quotient of the conjugation
-action.  Word traces give a fast necessary filter and, over the real field,
-the minimum displacement gives a continuous separating invariant.
+action; :func:`~localrep.reptheory.same_class` makes every comparison, and
+word traces only word the evidence for tuples found apart.  Over the real
+field the minimum displacement gives a continuous separating invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DimensionMismatchError,
@@ -48,10 +50,12 @@ def project(rho: Representation, word_len: int = FINGERPRINT_LENGTH,
     """Semisimplify and package the class invariants."""
     canonical = semisimplify(rho).rho_ss
     fingerprint = trace_fingerprint(canonical, word_len)
-    lam = None
-    if rho.field.is_real and with_lambda:
-        lam = symspace.minimize_displacement(canonical, budget=budget).lambda_est
+    lam = _lam(canonical, budget) if rho.field.is_real and with_lambda else None
     return CrClass(canonical=canonical, fingerprint=fingerprint, lam=lam)
+
+
+def _lam(canonical: Representation, budget: int) -> float:
+    return symspace.minimize_displacement(canonical, budget=budget).lambda_est
 
 
 def _check_comparable(r1: Representation, r2: Representation):
@@ -96,10 +100,13 @@ class SeparationResult:
 def separation_experiment(family, budget: int = 5000) -> SeparationResult:
     """Pairwise same-class table, with evidence and consistency checks.
 
-    Classes are computed once per member; each pair records either the index
-    of the first fingerprint disagreement or the evidence of
-    :func:`~localrep.reptheory.same_class`.  The boolean table is checked
-    for symmetry and transitivity.
+    Each member is semisimplified once and ``same_class`` decides each pair,
+    over R too, where a trace mismatch beyond the tolerance does not
+    override it.  A pair found apart records the index of the first word
+    (shortlex) whose traces differ, the traces grown one word length at a
+    time up to ``FINGERPRINT_LENGTH``; other pairs, and pairs apart whose
+    traces agree, record the evidence of ``same_class``.  The boolean table
+    is checked for symmetry and transitivity.
     """
     family = list(family)
     if not family:
@@ -107,22 +114,27 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
     for other in family[1:]:
         _check_comparable(family[0], other)
     field = family[0].field
-    classes = [project(rho, budget=budget, with_lambda=field.is_real) for rho in family]
+    canonical = [semisimplify(rho).rho_ss for rho in family]
+    lambdas = tuple(_lam(c, budget) for c in canonical) if field.is_real else None
+
+    @lru_cache(maxsize=None)
+    def traces(m, length):
+        return trace_fingerprint(canonical[m], length)
+
+    def apart(i, j, found):
+        for length in range(1, FINGERPRINT_LENGTH + 1):
+            for k, (a, b) in enumerate(zip(traces(i, length), traces(j, length))):
+                if not fingerprints_match(field, (a,), (b,)):
+                    return f"fingerprint mismatch at word index {k}"
+        return found
+
     n = len(family)
     matrix = [[True] * n for _ in range(n)]
     evidence = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ci, cj = classes[i], classes[j]
-            if not fingerprints_match(field, ci.fingerprint, cj.fingerprint):
-                k = next(
-                    idx for idx, (a, b) in enumerate(zip(ci.fingerprint, cj.fingerprint))
-                    if not fingerprints_match(field, (a,), (b,))
-                )
-                verdict = False
-                evidence[(i, j)] = f"fingerprint mismatch at word index {k}"
-            else:
-                verdict, evidence[(i, j)] = same_class(ci.canonical, cj.canonical)
+            verdict, found = same_class(canonical[i], canonical[j])
+            evidence[(i, j)] = found if verdict else apart(i, j, found)
             matrix[i][j] = verdict
             matrix[j][i] = verdict
     transitive = True
@@ -131,7 +143,6 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
             for k in range(n):
                 if matrix[i][j] is True and matrix[j][k] is True:
                     transitive = transitive and matrix[i][k] is True
-    lambdas = tuple(c.lam for c in classes) if field.is_real else None
     return SeparationResult(
         matrix=tuple(tuple(row) for row in matrix),
         lambdas=lambdas,
@@ -145,6 +156,4 @@ def lambda_class_invariant(rho: Representation, budget: int = 5000) -> float:
     """Minimum displacement of the projected class (a class function)."""
     if not rho.field.is_real:
         raise NotRealFieldError("the displacement invariant needs the real field")
-    return symspace.minimize_displacement(
-        project(rho, with_lambda=False).canonical, budget=budget
-    ).lambda_est
+    return _lam(semisimplify(rho).rho_ss, budget)

@@ -79,11 +79,6 @@ class SPDPoint:
         return f"SPDPoint({self.m.tolist()})"
 
 
-def _sym_log(a: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(a)
-    return (v * np.log(w)) @ v.T
-
-
 def _sym_exp(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(a)
     return (v * np.exp(w)) @ v.T

@@ -141,6 +141,38 @@ class TestMainExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and "zero denominator" in proc.stderr
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("analyze", json.dumps(dict(TRIANGULAR, field="real")), "field descriptor"),
+        ("analyze", json.dumps(dict(TRIANGULAR, field=["padic", 5])), "field descriptor"),
+        ("analyze", json.dumps(dict(TRIANGULAR, generators=[["1", "1"], ["0", "1"]])),
+         "generators"),
+        ("analyze", json.dumps(dict(TRIANGULAR, generators={"a": "1101"})), "list of rows"),
+        ("analyze", json.dumps(dict(TRIANGULAR, generators={"a": ["11", "01"]})),
+         "row 0"),
+        ("separate", json.dumps([TRIANGULAR, "member"]), "expected an object"),
+        ("separate", json.dumps([TRIANGULAR, dict(TRIANGULAR, field="real")]),
+         "field descriptor"),
+        ("analyze", "[" * 100000, "unreadable JSON"),
+    ], ids=["field-string", "field-list", "generators-list", "rows-string", "row-string",
+            "member-string", "member-field-string", "deep-nesting"])
+    def test_malformed_shape_is_2(self, tmp_path, command, text, message):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "localrep.cli", command, "--input", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and message in proc.stderr
+
+    def test_non_utf8_file_is_2(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(TRIANGULAR).encode())
+        proc = subprocess.run(
+            [sys.executable, "-m", "localrep.cli", "analyze", "--input", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "unreadable JSON" in proc.stderr
+
     @pytest.mark.parametrize("argv, message", [
         (["--p", "4", "--t", "1/4"], "needs a prime"),
         (["--p", "5", "--t", "abc"], "bad rational literal"),

@@ -1,10 +1,13 @@
-"""Golden reports: `analyze` and `semisimplify` output pinned byte for byte.
+"""Golden reports: `analyze`, `semisimplify` and `separate` output pinned byte for byte.
 
-Each case is a small fixed input over R, Q5 or F3(T): irreducible, split
-(reducible and completely reducible) or non-split.  The expected text in
-``golden_reports.json`` is ``jsonio.dumps`` of the CLI payload, so a
-performance change to any layer under these commands must leave the
-reports exactly as they were.
+Each `analyze`/`semisimplify` case is a small fixed input over R, Q5 or
+F3(T): irreducible, split (reducible and completely reducible) or
+non-split.  Each `separate` case is a small family whose evidence strings
+take every route: a fingerprint mismatch past the generators' own traces,
+a conjugator, and the Hom/End dimensions of a trace-blind pair.  The
+expected text in ``golden_reports.json`` is ``jsonio.dumps`` of the CLI
+payload, so a performance change to any layer under these commands must
+leave the reports exactly as they were.
 
 To regenerate after an intended change of output::
 
@@ -54,12 +57,38 @@ CASES = {
     "F3T-nonsplit": _rep(F3, a=[["T", "1"], ["0", "T"]], b=[["1/T", "0"], ["0", "1/T"]]),
 }
 
+FAMILIES = {
+    # members 0 and 1 agree on the traces of a, a^-1, b, b^-1 and a^2 but not
+    # of ab (word index 5); member 2 is member 0 conjugated by [[2, 1], [1, 1]]
+    "Q5-words": [
+        _rep(Q5, a=[["2", "0"], ["0", "3"]], b=[["1", "1"], ["1", "2"]]),
+        _rep(Q5, a=[["2", "0"], ["0", "3"]], b=[["2", "1"], ["1", "1"]]),
+        _rep(Q5, a=[["1", "-1"], ["2", "4"]], b=[["-1", "-1"], ["5", "4"]]),
+    ],
+    # equal word traces (3 x(w) = 0 in characteristic 3), dim Hom 1, dim End 10
+    "F3T-trace-blind": [
+        _rep(F3, a=[["T", "0", "0", "0"], ["0", "T", "0", "0"], ["0", "0", "T", "0"],
+                    ["0", "0", "0", "T+1"]]),
+        _rep(F3, a=[["T+2", "0", "0", "0"], ["0", "T+2", "0", "0"], ["0", "0", "T+2", "0"],
+                    ["0", "0", "0", "T+1"]]),
+    ],
+    # two classes, each with a conjugate by [[1, 1], [0, 1]]: an irreducible
+    # pair, and diag(2, 1/2) with the identity
+    "R-two-classes": [
+        _rep(R, a=[["2", "1"], ["1", "1"]], b=[["1", "1"], ["0", "1"]]),
+        _rep(R, a=[["3", "-1"], ["1", "0"]], b=[["1", "1"], ["0", "1"]]),
+        _rep(R, a=[["2", "0"], ["0", "0.5"]], b=[["1", "0"], ["0", "1"]]),
+        _rep(R, a=[["2", "-1.5"], ["0", "0.5"]], b=[["1", "0"], ["0", "1"]]),
+    ],
+}
+
 
 def render(case: str, command: str) -> str:
     """``jsonio.dumps`` of the CLI payload for one case and command."""
+    inputs = FAMILIES if command == "separate" else CASES
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rep.json"
-        path.write_text(json.dumps(CASES[case]), encoding="utf-8")
+        path.write_text(json.dumps(inputs[case]), encoding="utf-8")
         code, payload = run(JobSpec(command=command, input=str(path)))
     assert code == 0
     return jsonio.dumps(payload)
@@ -75,11 +104,21 @@ def test_report_matches_golden(case, command):
     assert render(case, command) == _expected()[f"{command}/{case}"]
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_separate_matches_golden(family):
+    assert render(family, "separate") == _expected()[f"separate/{family}"]
+
+
+def _keys() -> list:
+    return ([f"{c}/{k}" for c in COMMANDS for k in sorted(CASES)]
+            + [f"separate/{k}" for k in sorted(FAMILIES)])
+
+
 def test_golden_covers_every_case():
-    assert sorted(_expected()) == sorted(f"{c}/{k}" for c in COMMANDS for k in CASES)
+    assert sorted(_expected()) == sorted(_keys())
 
 
 if __name__ == "__main__":
-    out = {f"{c}/{k}": render(k, c) for c in COMMANDS for k in sorted(CASES)}
+    out = {key: render(key.split("/", 1)[1], key.split("/", 1)[0]) for key in _keys()}
     json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import pytest
 
@@ -19,6 +20,8 @@ from localrep import (
 )
 from localrep.errors import NotRealFieldError
 from localrep.parabolic import build_neighbors
+from localrep.quotient import FINGERPRINT_LENGTH
+from localrep.reptheory import same_class
 
 Q5 = Field.padic(5)
 Q11 = Field.padic(11)
@@ -139,6 +142,69 @@ class TestSeparationExperiment:
         ]
         result = separation_experiment(family)
         assert "fingerprint mismatch" in result.evidence[(0, 1)]
+
+    def test_real_family_same_class_decides(self):
+        # two classes over R, each with its conjugate by [[1, 1], [0, 1]]:
+        # an irreducible pair, and diag(2, 1/2) with the identity
+        family = [
+            rep(R, {"a": [[2, 1], [1, 1]], "b": [[1, 1], [0, 1]]}),
+            rep(R, {"a": [[3, -1], [1, 0]], "b": [[1, 1], [0, 1]]}),
+            rep(R, {"a": [[2, 0], [0, 0.5]], "b": [[1, 0], [0, 1]]}),
+            rep(R, {"a": [[2, -1.5], [0, 0.5]], "b": [[1, 0], [0, 1]]}),
+        ]
+        result = separation_experiment(family)
+        assert result.matrix == ((True, True, False, False), (True, True, False, False),
+                                 (False, False, True, True), (False, False, True, True))
+        assert result.evidence == {
+            (0, 1): "conjugator found",
+            (0, 2): "fingerprint mismatch at word index 0",
+            (0, 3): "fingerprint mismatch at word index 0",
+            (1, 2): "fingerprint mismatch at word index 0",
+            (1, 3): "fingerprint mismatch at word index 0",
+            (2, 3): "conjugator found",
+        }
+        assert result.transitive
+        assert abs(result.lambdas[2] - 2 * math.sqrt(2) * math.log(2)) < 1e-3
+
+
+def _fingerprint_first(family):
+    """Verdicts and evidence of the fingerprint-first order: the first index
+    where the full fingerprints differ, else :func:`same_class`."""
+    canonical = [semisimplify(rho).rho_ss for rho in family]
+    prints = [trace_fingerprint(c, FINGERPRINT_LENGTH) for c in canonical]
+    table = {}
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            k = next((k for k, (a, b) in enumerate(zip(prints[i], prints[j])) if a != b), None)
+            table[(i, j)] = (same_class(canonical[i], canonical[j]) if k is None
+                             else (False, f"fingerprint mismatch at word index {k}"))
+    return table
+
+
+class TestSameClassFirst:
+    """`separation_experiment` decides by `same_class` and looks for trace
+    evidence only on pairs found apart; over Q and F_p(T) it must agree
+    with the fingerprint-first order pair for pair."""
+
+    def test_agrees_with_fingerprint_first(self, exact_corpus):
+        # the corpus grouped into families by field, size and generators
+        groups = defaultdict(list)
+        for entry in exact_corpus:
+            groups[(str(entry.rep.field), entry.rep.n, entry.rep.symbols)].append(entry.rep)
+        families = [members for members in groups.values() if len(members) > 1] + [
+            # the traces of a, a^-1, b, b^-1 and a^2 agree; ab is word index 5
+            [rep(Q5, {"a": [[2, 0], [0, 3]], "b": [[1, 1], [1, 2]]}),
+             rep(Q5, {"a": [[2, 0], [0, 3]], "b": [[2, 1], [1, 1]]}),
+             rep(Q5, {"a": [[1, -1], [2, 4]], "b": [[-1, -1], [5, 4]]})],
+            [TestTraceBlindPair.a, TestTraceBlindPair.b, TestTraceBlindPair.a.conjugate_by(
+                Matrix.from_rows(F3, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))],
+        ]
+        assert len(families) >= 8
+        for family in families:
+            result = separation_experiment(family)
+            for (i, j), (verdict, evidence) in _fingerprint_first(family).items():
+                assert result.matrix[i][j] is verdict, (family, i, j)
+                assert result.evidence[(i, j)] == evidence, (family, i, j)
 
 
 class TestLambdaInvariant:
