@@ -48,7 +48,7 @@ class JobSpec:
         if not 1 <= self.imax <= 64:
             raise ParseError("imax must be in 1..64")
         if not 1 <= self.radius <= 6:
-            raise ParseError("radius must be in 1..6 (ball sizes grow fast)")
+            raise ParseError("radius must be in 1..6 (descent steps on the tree)")
         if not 1 <= self.budget <= 100000:
             raise ParseError("budget must be in 1..100000")
         if self.p is not None:
@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="representation (or family) JSON file")
         sp.add_argument("--input2", help="second representation JSON file")
         sp.add_argument("--imax", type=int, default=12, help="sequence length (1..64)")
-        sp.add_argument("--radius", type=int, default=4, help="tree ball radius (1..6)")
+        sp.add_argument("--radius", type=int, default=4, help="most tree descent steps (1..6)")
         sp.add_argument("--budget", type=int, default=5000, help="optimizer iteration budget")
         sp.add_argument("--seed", default=hex(PROBE_SEED),
                         help="hex seed for the deterministic probe batches")

@@ -44,6 +44,32 @@ LITERAL_DIGITS_CAP = 1000
 LITERAL_DEGREE_CAP = 1000
 
 
+def _multiplicity(n: int, p: int) -> int:
+    """Largest v with p^v dividing the nonzero integer n, in O(log v) divisions.
+
+    Strips p, p^2, p^4, ... while they divide, then the halved powers on the
+    way back down; one factor of p per division would be quadratic in v.
+    """
+    powers = [p]
+    v = 0
+    while True:
+        q, r = divmod(n, powers[-1])
+        if r:
+            break
+        n = q
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    # what is left of v is below the exponent of the power that failed, so
+    # the remainder r has the valuation that n has
+    n = r
+    for k in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n = q
+            v += 1 << k
+    return v
+
+
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, exact for p < PRIME_BOUND."""
     if p >= PRIME_BOUND:
@@ -561,15 +587,12 @@ class Field:
         if self.kind == "padic":
             if x == 0:
                 return INFINITY
-            v = 0
-            num, den = x.numerator, x.denominator
-            while num % self.p == 0:
-                num //= self.p
-                v += 1
-            while den % self.p == 0:
-                den //= self.p
-                v -= 1
-            return v
+            # in lowest terms at most one of num, den is divisible by p
+            if x.numerator % self.p == 0:
+                return _multiplicity(x.numerator, self.p)
+            if x.denominator % self.p == 0:
+                return -_multiplicity(x.denominator, self.p)
+            return 0
         return x.valuation
 
     def abs_value(self, x) -> float:

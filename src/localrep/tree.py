@@ -162,23 +162,59 @@ def vertex_displacement(g: Matrix, v: TreeVertex) -> int:
     return tree_dist(v, TreeVertex(g * v.basis))
 
 
+def _primitive(m: Matrix) -> Matrix:
+    """m scaled by p^(-min valuation): integral, with an entry that is a unit."""
+    return m.scale(Fraction(m.field.p) ** -m.min_valuation())
+
+
+def _descent_move(m: Matrix) -> Matrix:
+    """The move from a vertex v to the first vertex of the geodesic [v, gv].
+
+    ``m`` is B^-1 g B for the basis B of v, made primitive, with v(det m) > 0.
+    Then m mod p has rank one, and the first vertex is the lattice mL + pL:
+    the index-p sublattice (a move of :func:`neighbors`) whose line mod p is
+    the image of m mod p, spanned by any column of m that is not zero mod p.
+    """
+    field = m.field
+    p = field.p
+    (a, b), (c, d) = m.data
+    c1, c2 = (a, c) if min(field.valuation(a), field.valuation(c)) == 0 else (b, d)
+    if field.valuation(c2) > 0:
+        return Matrix.from_rows(field, [[1, 0], [0, p]])
+    j = c1 / c2
+    return Matrix.from_rows(field, [[p, j.numerator * pow(j.denominator, -1, p) % p],
+                                    [0, 1]])
+
+
 def translation_length(g: Matrix, radius: int):
     """Minimum vertex displacement over the ball around the standard vertex.
 
-    Returns ``(minimum, witness vertex)``.  For hyperbolic g the minimum
-    stabilises once the radius reaches the distance from the base vertex to
-    the translation axis.
+    Returns ``(minimum, witness vertex)``, the witness being the first
+    minimiser of ``ball(standard, radius)`` in BFS order, found without
+    scanning the ball.  The displacement d(v, gv) = l(g) + 2 d(v, Min g) is
+    convex, and the geodesic from v to gv passes through Min g (Serre,
+    *Trees*, I.6).  So the walk starts at the standard vertex and steps to
+    the first vertex of [v, gv] (:func:`_descent_move`) while that lowers
+    d(v, gv), at most ``radius`` times; each step is O(1) matrix work, for
+    any p.  It ends at the projection of the standard vertex onto Min g,
+    with minimum l(g).  When the radius is too small to reach Min g, it ends
+    at the vertex ``radius`` steps along the geodesic toward it, with
+    minimum d(standard, g standard) - 2 * radius.  Either way the witness is
+    the unique minimiser in the ball.
     """
     base = TreeVertex.standard(g.field.p)
-    order, _ = ball(base, radius)
-    best, witness = None, None
-    for v in order:
-        d = vertex_displacement(g, v)
-        if best is None or d < best:
-            best, witness = d, v
-            if best == 0:
-                break
-    return best, witness
+    d = vertex_displacement(g, base)
+    basis, m = base.basis, _primitive(g)
+    for _ in range(radius):
+        if d == 0:
+            break
+        move = _descent_move(m)
+        stepped = _primitive(move.inv() * m * move)
+        d_next = g.field.valuation(stepped.det())
+        if d_next >= d:
+            break
+        basis, m, d = basis * move, stepped, d_next
+    return d, TreeVertex(basis)
 
 
 @dataclass(frozen=True)
@@ -249,16 +285,12 @@ def product_counterexample(p: int, t, imax: int = 12, radius: int = 4) -> Counte
     g1 = Matrix.from_rows(field, [[t, 0], [0, 1 / t]])
     g2 = Matrix.from_rows(field, [[1, t], [0, 1]])
 
-    # (a) a vertex fixed by g2 exists within |v(t)| of the base vertex;
-    # the displacement over Y = (axis of g1) x (fixed vertex) is the
-    # translation length of g1
-    search_radius = max(radius, v_abs)
-    order, dists = ball(TreeVertex.standard(p), search_radius)
-    fixed = None
-    for v in order:
-        if vertex_displacement(g2, v) == 0:
-            fixed = v
-            break
+    # (a) the lattice diag(t, 1) is fixed by g2, |v(t)| from the base vertex
+    # and the nearest such vertex to it; the displacement over Y = (axis of
+    # g1) x (fixed vertex) is the translation length of g1
+    fixed = TreeVertex(Matrix.from_rows(field, [[t, 0], [0, 1]]))
+    if vertex_displacement(g2, fixed) != 0:
+        fixed = None
     ell, _witness = translation_length(g1, radius)
     ell_next, _ = translation_length(g1, radius + 1)
     stabilized = ell == ell_next
@@ -291,7 +323,8 @@ def product_counterexample(p: int, t, imax: int = 12, radius: int = 4) -> Counte
         t=field.format(t),
         v_t=v_t,
         fixed_vertex_key=fixed.canonical_key() if fixed is not None else (),
-        fixed_vertex_distance=dists.get(fixed, -1) if fixed is not None else -1,
+        fixed_vertex_distance=(tree_dist(TreeVertex.standard(p), fixed)
+                               if fixed is not None else -1),
         translation_length_g1=ell,
         stabilized=stabilized,
         min_displacement_on_y=ell,

@@ -237,3 +237,45 @@ class TestMainExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["cr"] is False
+
+
+BIG_P = 1000000000000000003  # prime, near 10^18
+
+
+class TestHostileInputCost:
+    """Tree jobs whose cost once grew like p^radius or p^|v(t)|."""
+
+    @staticmethod
+    def report(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "localrep.cli", *argv],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("imax", [12, 64])
+    def test_counterexample_far_fixed_vertex(self, imax):
+        payload = self.report("counterexample", "--p", "5", "--t", "1e-999",
+                              "--imax", str(imax))
+        assert payload["verdict"] is True
+        assert payload["fixed_vertex_distance"] == 999
+        assert payload["translation_length"] == 1998
+        assert len(payload["valuation_sequence"]) == imax + 1
+
+    def test_counterexample_huge_prime(self):
+        payload = self.report("counterexample", "--p", str(BIG_P), "--t", f"1/{BIG_P}")
+        assert payload["verdict"] is True
+        assert payload["fixed_vertex"] == [0, 0, 1]
+
+    def test_tree_huge_prime_base_off_min(self, tmp_path):
+        # a fixes the lattices 6 edges out; b translates along an axis 3 edges out
+        path = write(tmp_path, "t.json", {
+            "field": {"type": "padic", "p": BIG_P}, "n": 2,
+            "generators": {"a": [["1", f"1/{BIG_P ** 6}"], ["0", "1"]],
+                           "b": [[str(BIG_P), f"{1 - BIG_P}/{BIG_P ** 3}"], ["0", "1"]]}})
+        gens = self.report("tree", "--radius", "6", "--input", path)["generators"]
+        assert gens["a"] == {"translation_length": 0, "witness": [0, 0, 6],
+                             "displacement_at_base": 12}
+        assert gens["b"] == {"translation_length": 1, "witness": [0, 0, 3],
+                             "displacement_at_base": 7}

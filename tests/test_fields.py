@@ -58,6 +58,21 @@ class TestValuationIdentities:
         if vx != vy:
             assert vsum == min(vx, vy)
 
+    @given(st.sampled_from([2, 3, 5]), rationals.filter(lambda x: x != 0),
+           st.integers(-3000, 3000))
+    @settings(max_examples=300, deadline=None)
+    def test_padic_matches_naive_loop(self, p, x, e):
+        # the doubling strip against one factor of p per division
+        x = x * Fraction(p) ** e
+        num, den, naive = x.numerator, x.denominator, 0
+        while num % p == 0:
+            num //= p
+            naive += 1
+        while den % p == 0:
+            den //= p
+            naive -= 1
+        assert Field.padic(p).valuation(x) == naive
+
     @given(st.integers(-50, 50), st.integers(-50, 50),
            st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)

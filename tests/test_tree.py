@@ -15,7 +15,7 @@ from localrep import (
 )
 from localrep.errors import BadParameterError, PrimeMismatchError
 from localrep.linalg import elementary_divisor_valuations
-from localrep.tree import ball, elementary_spread
+from localrep.tree import _descent_move, _primitive, ball, elementary_spread
 
 F5 = Field.padic(5)
 
@@ -221,3 +221,105 @@ class TestCounterexample:
             product_counterexample(5, 5)
         with pytest.raises(BadParameterError):
             product_counterexample(5, 1)
+
+
+def _oracle_minimiser(displacements, order, dists, radius):
+    """BFS-first minimiser of the vertex displacements over a ball prefix."""
+    best, witness = None, None
+    for d, v in zip(displacements, order):
+        if dists[v] > radius:
+            break
+        if best is None or d < best:
+            best, witness = d, v
+    return best, witness
+
+
+def _closed_form_length(g):
+    """max(v(det g) - 2 v(tr g), v(det g) mod 2)."""
+    f = g.field
+    v_det = f.valuation(g.det())
+    tr = g.trace()
+    parity = v_det % 2
+    return parity if tr == 0 else max(v_det - 2 * f.valuation(tr), parity)
+
+
+def _random_unit(rng, p):
+    return rng.choice([u for u in range(-6, 7) if u % p])
+
+
+def _tree_case(rng, p, shape):
+    """A conjugate k^-1 h k of a matrix h of the given shape.
+
+    k has entries with denominators up to p^2, so Min g is often several
+    edges from the standard vertex and small radii cannot reach it.
+    """
+    F = Field.padic(p)
+    u, w = _random_unit(rng, p), _random_unit(rng, p)
+    if shape == "hyperbolic":
+        a = rng.randint(-2, 2)
+        b = a + rng.choice([-2, -1, 1, 2])
+        h = [[Fraction(p) ** a * u, 0], [0, Fraction(p) ** b * w]]
+    elif shape == "unipotent":
+        h = [[u, Fraction(rng.randint(1, 9), p ** rng.randint(0, 2))], [0, u]]
+    elif shape == "rotation":  # x^2 - c x + 1 with c integral: elliptic
+        h = [[0, -1], [1, rng.randint(-4, 4) * p]]
+    else:  # "inversion": odd v(det), an edge swapped
+        h = [[0, u], [p * w, 0]]
+    h = Matrix.from_rows(F, h)
+    while True:
+        k = Matrix.from_rows(F, [[Fraction(rng.randint(-9, 9), p ** rng.randint(0, 2))
+                                  for _ in range(2)] for _ in range(2)])
+        if not F.is_zero(k.det()):
+            return k.inv() * h * k
+
+
+class TestDescentAgainstBall:
+    """``translation_length`` walks to Min g; the ball scan is the oracle."""
+
+    @pytest.mark.parametrize("p, count", [(2, 24), (3, 20), (5, 12), (7, 4)])
+    def test_matches_bfs_first_minimiser(self, p, count):
+        rng = random.Random(900 + p)
+        order, dists = ball(TreeVertex.standard(p), 4)
+        short = 0
+        shapes = ["hyperbolic", "unipotent", "rotation", "inversion"]
+        for i in range(count):
+            g = _tree_case(rng, p, shapes[i % len(shapes)])
+            ell = _closed_form_length(g)
+            displacements = [vertex_displacement(g, v) for v in order]
+            for radius in range(1, 5):
+                want, want_witness = _oracle_minimiser(displacements, order, dists, radius)
+                got, witness = translation_length(g, radius)
+                assert got == want
+                assert witness.canonical_key() == want_witness.canonical_key()
+                assert got >= ell
+                short += got > ell
+        assert short > 0  # some radius was too small to reach Min g
+
+    def test_descent_step_is_first_geodesic_vertex(self):
+        rng = random.Random(31)
+        checked = 0
+        for p in (2, 3, 5, 7):
+            order, _ = ball(TreeVertex.standard(p), 2)
+            for i in range(12):
+                g = _tree_case(rng, p, ["hyperbolic", "unipotent", "rotation", "inversion"][i % 4])
+                v = order[rng.randrange(len(order))]
+                d = vertex_displacement(g, v)
+                if d == 0:
+                    continue
+                m = _primitive(v.basis.inv() * g * v.basis)
+                w = TreeVertex(v.basis * _descent_move(m))
+                assert tree_dist(v, w) == 1
+                assert tree_dist(w, TreeVertex(g * v.basis)) == d - 1
+                checked += 1
+        assert checked > 30
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_counterexample_fixed_vertex_matches_ball_search(self, p, e):
+        t = Fraction(_random_unit(random.Random(p * e), p), p ** e)
+        g2 = Matrix.from_rows(Field.padic(p), [[1, t], [0, 1]])
+        order, dists = ball(TreeVertex.standard(p), e)
+        fixed = next(v for v in order if vertex_displacement(g2, v) == 0)
+        report = product_counterexample(p, t, imax=4, radius=1)
+        assert report.fixed_vertex_key == fixed.canonical_key()
+        assert report.fixed_vertex_distance == dists[fixed] == e
