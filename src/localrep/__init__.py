@@ -27,18 +27,6 @@ from .parabolic import (
     levi_decompose,
     levi_project,
 )
-from .symspace import (
-    ATTAINED,
-    DIVERGED,
-    MAXITER,
-    DisplacementReport,
-    SPDPoint,
-    check_symmetry_at_min,
-    displacement,
-    dist,
-    grad_objective,
-    minimize_displacement,
-)
 from .tree import (
     TreeVertex,
     neighbors,
@@ -74,3 +62,19 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# symspace imports numpy, which exact-field work never needs: its names load
+# on first access.
+_SYMSPACE_NAMES = frozenset({
+    "ATTAINED", "DIVERGED", "MAXITER", "DisplacementReport", "SPDPoint",
+    "check_symmetry_at_min", "displacement", "dist", "grad_objective",
+    "minimize_displacement",
+})
+
+
+def __getattr__(name):
+    if name in _SYMSPACE_NAMES:
+        from . import symspace
+
+        return getattr(symspace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

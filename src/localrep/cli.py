@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from . import jsonio, quotient, symspace, tree
+from . import jsonio, quotient, tree
 from .errors import LocalRepError, ParseError
 from .fields import Field
 from .parabolic import BlockStructure, FundamentalSequence, build_neighbors
@@ -117,6 +117,8 @@ def run(job: JobSpec):
             result = quotient.separation_experiment(family, budget=job.budget)
             payload.update(result.to_json_dict())
         elif job.command == "minimize":
+            from . import symspace  # the only command that needs numpy
+
             rho = _load_rep(job.input)
             report = symspace.minimize_displacement(rho, budget=job.budget)
             payload.update(report.to_json_dict())

@@ -26,7 +26,6 @@ from .reptheory import (
     semisimplify,
     trace_fingerprint,
 )
-from . import symspace
 
 FINGERPRINT_LENGTH = 6
 
@@ -55,6 +54,8 @@ def project(rho: Representation, word_len: int = FINGERPRINT_LENGTH,
 
 
 def _lam(canonical: Representation, budget: int) -> float:
+    from . import symspace  # numpy loads only for real-field classes
+
     return symspace.minimize_displacement(canonical, budget=budget).lambda_est
 
 

@@ -71,7 +71,7 @@ INCONCLUSIVE = _Inconclusive()
 class Representation:
     """A finite tuple of invertible n x n matrices over one field."""
 
-    __slots__ = ("field", "n", "gens", "_inverses", "_battery_walks")
+    __slots__ = ("field", "n", "gens", "_inverses", "_battery_walks", "_derived")
 
     def __init__(self, field: Field, gens: dict):
         if not gens:
@@ -96,6 +96,8 @@ class Representation:
         self._inverses = None
         # probe seed -> [candidates found, live battery or None once exhausted]
         self._battery_walks = {}
+        # "algebra", ("restriction", rows) or ("quotient", rows) -> built value
+        self._derived = {}
 
     @classmethod
     def from_entries(cls, field: Field, gens: dict) -> "Representation":
@@ -109,6 +111,23 @@ class Representation:
         if self._inverses is None:
             self._inverses = {s: m.inv() for s, m in self.gens.items()}
         return self._inverses
+
+    def _derive(self, key, build):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
+    def word_algebra(self) -> list:
+        """:func:`word_algebra_basis` of this tuple, built once."""
+        return self._derive("algebra", lambda: word_algebra_basis(self))
+
+    def restriction(self, rows) -> "Representation":
+        """:func:`restrict_to_subspace` to canonical ``rows``, built once per rows."""
+        return self._derive(("restriction", rows), lambda: restrict_to_subspace(self, rows))
+
+    def quotient(self, rows):
+        """:func:`quotient_representation` by canonical ``rows``, built once per rows."""
+        return self._derive(("quotient", rows), lambda: quotient_representation(self, rows))
 
     def conjugate_by(self, h: Matrix) -> "Representation":
         hinv = h.inv()
@@ -445,9 +464,65 @@ def _kernel_rows(field: Field, m: Matrix) -> tuple:
     return _canonical_rows(field, res.kernel) if res.kernel else ()
 
 
+def _poly_value(coeffs, x):
+    """Horner's rule; ``coeffs`` run from the leading coefficient down."""
+    v = 0
+    for c in coeffs:
+        v = v * x + c
+    return v
+
+
+def _root_floors(coeffs) -> set:
+    """Integers m such that every real root lies in [m, m + 1] for one of them.
+
+    ``coeffs`` are integers from the leading one down.  Between the brackets
+    of the derivative's roots (found the same way, recursively) the
+    polynomial is strictly monotone, so each such stretch holds at most one
+    root, found by bisection over the integers; the brackets themselves are
+    kept whole.  Cauchy's bound 1 + max |c_i / c_0| closes the outer
+    stretches.  The cost is polynomial in the digit count.
+    """
+    d = len(coeffs) - 1
+    if d < 1:
+        return set()
+    out = _root_floors([c * (d - i) for i, c in enumerate(coeffs[:-1])])
+    bound = 2 + max(abs(c) for c in coeffs[1:]) // abs(coeffs[0])
+    stretches, lo = [], -bound
+    for m in sorted(out) + [bound]:
+        if lo <= m:
+            stretches.append((lo, m))
+        lo = max(lo, m + 1)
+    for a, b in stretches:
+        va, vb = _poly_value(coeffs, a), _poly_value(coeffs, b)
+        if va == 0 or vb == 0:
+            out.add(a if va == 0 else b)
+            continue
+        if (va > 0) == (vb > 0):
+            continue
+        while b - a > 1:
+            mid = (a + b) // 2
+            vm = _poly_value(coeffs, mid)
+            if vm == 0:
+                a = mid
+                break
+            if (vm > 0) == (va > 0):
+                a = mid
+            else:
+                b = mid
+        out.add(a)
+    return out
+
+
 def _rational_eigenvalues(m: Matrix):
-    """All eigenvalues of a rational matrix that lie in Q (exact)."""
-    from math import gcd
+    """All eigenvalues of a rational matrix that lie in Q (exact).
+
+    0 comes first, then the others by (|numerator|, denominator), + before
+    -.  The characteristic polynomial, cleared to integers c_0 x^d + ... +
+    c_d, becomes monic under y = c_0 x, and its rational roots are y / c_0
+    for the integer roots y of the result, which lie at the ends of the
+    brackets of :func:`_root_floors`.
+    """
+    from math import lcm
 
     n = m.n
     ident = Matrix.identity(m.field, n)
@@ -461,42 +536,17 @@ def _rational_eigenvalues(m: Matrix):
         mk = mk + ident.scale(c)
     poly = [Fraction(1)] + cs  # x^n + c1 x^(n-1) + ... + cn
 
-    denom = 1
-    for co in poly:
-        denom = denom * co.denominator // gcd(denom, co.denominator)
+    denom = lcm(*(co.denominator for co in poly))
     ints = [int(co * denom) for co in poly]
     if ints[-1] == 0:
         yield Fraction(0)
-        while ints and ints[-1] == 0:
+        while ints[-1] == 0:
             ints.pop()
-        if len(ints) < 2:
-            return
-    lead, const = ints[0], ints[-1]
-
-    def divisors(v):
-        v = abs(v)
-        out = set()
-        d = 1
-        while d * d <= v:
-            if v % d == 0:
-                out.add(d)
-                out.add(v // d)
-            d += 1
-        return sorted(out)
-
-    seen = set()
-    for pnum in divisors(const):
-        for qden in divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * pnum, qden)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                val = Fraction(0)
-                for co in poly:
-                    val = val * cand + co
-                if val == 0:
-                    yield cand
+    lead = ints[0]
+    monic = [1] + [c * lead ** (i - 1) for i, c in enumerate(ints) if i]
+    roots = {Fraction(y, lead) for lo in _root_floors(monic) for y in (lo, lo + 1)
+             if _poly_value(monic, y) == 0}
+    yield from sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
 def invariant_subspace_candidates(rho: Representation):
@@ -544,10 +594,15 @@ def _battery(rho: Representation):
     by the trace-form radical of the word algebra, and kernels of singular
     non-scalar elements of the commutant.  Every candidate is re-verified
     before being yielded; unsound intermediate heuristics therefore cannot
-    leak wrong answers.
+    leak wrong answers.  A tuple whose word algebra is already built and
+    spans all n x n matrices is absolutely irreducible (Burnside), so the
+    walk yields nothing at once.
     """
     field = rho.field
     n = rho.n
+    algebra = rho._derived.get("algebra")
+    if algebra is not None and len(algebra) == n * n:
+        return
     found = []
 
     def check(rows, collect: bool = True):
@@ -582,7 +637,7 @@ def _battery(rho: Representation):
                 yield got
 
     # structural layer: radical of the word algebra via the trace form
-    algebra = word_algebra_basis(rho)
+    algebra = rho.word_algebra()
     d = len(algebra)
     if d < n * n:
         gram = [[a.trace_of_product(b) for b in algebra] for a in algebra]
@@ -639,9 +694,11 @@ def is_nonparabolic(rho: Representation):
 
     Returns ``(True, None)`` when no proper nonzero invariant subspace
     exists, otherwise ``(False, flag)`` with a verified single-step invariant
-    flag as certificate.  Absolute irreducibility (word algebra of full
-    dimension n^2) short-circuits the search; otherwise the full candidate
-    battery must come up empty.
+    flag as certificate: the first candidate of
+    :func:`invariant_subspace_candidates`.  "Irreducible" means that the
+    whole battery came up empty; the battery skips its layers only for a
+    tuple whose word algebra was already built and found to span all n x n
+    matrices.
     """
     if rho.n == 1:
         return True, None
@@ -721,29 +778,61 @@ def is_cr(rho: Representation) -> bool:
     ok, proj = has_invariant_complement(rho, rows)
     if not ok:
         return False
-    sub = restrict_to_subspace(rho, rows)
-    comp_rows = _kernel_rows(rho.field, proj)
-    comp = restrict_to_subspace(rho, comp_rows)
+    sub = rho.restriction(rows)
+    comp = rho.restriction(_kernel_rows(rho.field, proj))
     return is_cr(sub) and is_cr(comp)
+
+
+def _absolutely_irreducible(rho: Representation) -> bool:
+    """Burnside: the words span all n x n matrices."""
+    return len(rho.word_algebra()) == rho.n * rho.n
+
+
+def _dimension_floor(rho: Representation, rows) -> int:
+    """A proven lower bound on the dimension of every invariant subspace.
+
+    ``rows`` spans an invariant subspace W of dimension k; let q = n - k.
+    When W and V/W are both absolutely irreducible, every simple submodule
+    of V is W itself or, meeting W in 0, maps onto V/W and is a complement
+    of W.  The bound is then k, or q when q < k and W has an invariant
+    complement.  In every other case it is 1.  The complement test runs
+    first: it is one small linear system, and when it succeeds with q = 1
+    the bound is 1 whatever the word algebras are.
+    """
+    k = len(rows)
+    q = rho.n - k
+    if k == 1:
+        return 1
+    split = q < k and has_invariant_complement(rho, rows)[0]
+    if split and q == 1:
+        return 1
+    if not (_absolutely_irreducible(rho.restriction(rows))
+            and _absolutely_irreducible(rho.quotient(rows)[0])):
+        return 1
+    return q if split else k
 
 
 def _minimal_invariant_subspace(rho: Representation):
     """A minimal invariant subspace, or None when the action is irreducible.
 
-    Minimality is enforced by recursing into the restriction until the
-    battery finds nothing further.  Ties among probe spins are broken by
-    dimension first, then by probe order.
+    ``best`` is the first candidate of least dimension in the battery's
+    order.  The walk stops once ``best`` reaches the floor of
+    :func:`_dimension_floor`: the battery yields only verified invariant
+    subspaces, none of which lies below the floor, so the strict ``<``
+    would keep ``best`` over every later candidate, and the full walk
+    would pick the same subspace.  Minimality is then enforced by recursing
+    into the restriction until the battery finds nothing further.
     """
     best = None
     for rows in invariant_subspace_candidates(rho):
         if best is None or len(rows) < len(best):
             best = rows
-            if len(best) == 1:
+            if len(best) <= _dimension_floor(rho, best):
                 break
     if best is None:
         return None
     while len(best) > 1:
-        sub = restrict_to_subspace(rho, best)
+        sub = rho.restriction(best)
         inner = _minimal_invariant_subspace(sub)
         if inner is None:
             break
@@ -770,7 +859,7 @@ def composition_series(rho: Representation) -> InvariantFlag:
     if minimal is None:
         return InvariantFlag(Matrix.identity(field, rho.n), (rho.n,))
     k = len(minimal)
-    quot, basis = quotient_representation(rho, minimal)
+    quot, basis = rho.quotient(minimal)
     inner = composition_series(quot)
     # assemble h = basis * blockdiag(I_k, inner.basis_change)
     n = rho.n

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -316,8 +317,8 @@ def oracle_is_cr(rep, bound=2) -> bool:
     return True
 
 
-def trace_form_is_cr(rep) -> bool:
-    """Characteristic-zero oracle: trace form on the word span is nondegenerate."""
+def word_span_basis(rep) -> list:
+    """Words in the generators and their inverses spanning their linear span."""
     field = rep.field
     n = rep.n
     basis = []
@@ -345,8 +346,120 @@ def trace_form_is_cr(rep) -> bool:
             prod = g * m
             if try_add(prod):
                 queue.append(prod)
+    return basis
+
+
+def trace_form_is_cr(rep) -> bool:
+    """Characteristic-zero oracle: trace form on the word span is nondegenerate."""
+    basis = word_span_basis(rep)
     gram = [[(a * b).trace() for b in basis] for a in basis]
-    return rref(field, gram).rank == len(basis)
+    return rref(rep.field, gram).rank == len(basis)
+
+
+# ---------------------------------------------------------------------------
+# seeded block tuples around the minimal-subspace floor
+
+# (name, block sizes, split, keep e1 in the first block).  Non-split means
+# non-split above the first block.  With e1 kept in the first block (names
+# ending "-e1"), the battery's first probe spins the first block, so the
+# first candidate is the first summand, the larger one of (2, 1) and (3, 1).
+FLOOR_SHAPES = (
+    ("split-2-1-e1", (2, 1), True, True),
+    ("split-3-1-e1", (3, 1), True, True),
+    ("split-2-1", (2, 1), True, False),
+    ("split-1-3", (1, 3), True, False),
+    ("nonsplit-2-1", (2, 1), False, False),
+    ("nonsplit-2-1-e1", (2, 1), False, True),
+    ("nonsplit-2-2", (2, 2), False, False),
+    ("nonsplit-2-2-e1", (2, 2), False, True),
+    ("split-1-1-2", (1, 1, 2), True, False),
+    ("nonsplit-1-1-2", (1, 1, 2), False, False),
+)
+
+# the benchmark's decide/fault tuple: blockdiag(C(x^2 - 2), C(x^2 - 3)) over
+# Q5, irreducible summands that are not absolutely irreducible, and the
+# conjugator it is seen through
+FAULT_COMPANIONS = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]
+FAULT_CONJUGATOR = [[-1, 2, -2, 1], [-2, -1, 0, -1], [-1, 1, 1, 1], [-2, -1, 1, 1]]
+
+
+def _draw_scalar(field, rng, nonzero=False):
+    while True:
+        if field.kind == "funcfield":
+            x = field.coerce(rng.choice(["0", "1", "2", "T", "T+1", "2*T+1"]))
+        else:
+            x = field.coerce(rng.randint(-3, 3))
+        if not (nonzero and field.is_zero(x)):
+            return x
+
+
+def _draw_matrix(field, rng, rows, cols, nonzero=False):
+    return [[_draw_scalar(field, rng, nonzero) for _ in range(cols)] for _ in range(rows)]
+
+
+def _abs_irreducible_block(field, rng, k, symbols) -> list:
+    """k x k generators whose words span all k x k matrices (Burnside)."""
+    while True:
+        mats = [Matrix.from_rows(field, _draw_matrix(field, rng, k, k, k == 1))
+                for _ in symbols]
+        if any(field.is_zero(m.det(), m.entry_scale()) for m in mats):
+            continue
+        block = Representation(field, dict(zip(symbols, mats)))
+        if len(word_span_basis(block)) == k * k:
+            return [[list(r) for r in m.data] for m in mats]
+
+
+def _unitriangular(field, rng, n, upper):
+    return [[field.one() if i == j else
+             (field.coerce(rng.choice((-1, 1, 2))) if (j > i) == upper else field.zero())
+             for j in range(n)] for i in range(n)]
+
+
+def block_tuple(field, rng, sizes, split, keep_e1=False, symbols=("a", "b")):
+    """A seeded conjugate of a block upper triangular tuple.
+
+    The diagonal blocks are absolutely irreducible; unless ``split``, the
+    block above the first one is a cocycle checked non-split.  The
+    conjugator is upper unitriangular when ``keep_e1`` (so e1 stays in the
+    first block), else a lower times an upper unitriangular matrix.
+    """
+    blocks = [_abs_irreducible_block(field, rng, k, symbols) for k in sizes]
+    zero = field.zero()
+    cocycles = [[[zero] * sizes[1] for _ in range(sizes[0])] for _ in symbols]
+    if not split:
+        while True:
+            cocycles = [_draw_matrix(field, rng, sizes[0], sizes[1]) for _ in symbols]
+            if not cocycle_splits(field, blocks[0], blocks[1], cocycles):
+                break
+    n = sum(sizes)
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    gens = {}
+    for s, sym in enumerate(symbols):
+        m = [[zero] * n for _ in range(n)]
+        for b, block in enumerate(blocks):
+            for i, row in enumerate(block[s]):
+                m[starts[b] + i][starts[b]:starts[b] + sizes[b]] = row
+        for i, row in enumerate(cocycles[s]):
+            m[i][starts[1]:starts[1] + sizes[1]] = row
+        gens[sym] = m
+    h = Matrix.from_rows(field, _unitriangular(field, rng, n, upper=True))
+    if not keep_e1:
+        h = Matrix.from_rows(field, _unitriangular(field, rng, n, upper=False)) * h
+    return mk(field, gens).conjugate_by(h)
+
+
+def build_floor_corpus(seed: int = 8) -> list:
+    """``(name, rep)`` pairs: every floor shape over Q5, F3(T) and R, and the fault tuple."""
+    out = []
+    for tag, field in (("Q5", Field.padic(5)), ("F3T", Field.funcfield(3)),
+                       ("R", Field.real())):
+        rng = random.Random(f"floor:{tag}:{seed}")
+        for name, sizes, split, keep_e1 in FLOOR_SHAPES:
+            out.append((f"{tag}:{name}", block_tuple(field, rng, sizes, split, keep_e1)))
+    fault = mk(Field.padic(5), {"a": FAULT_COMPANIONS})
+    out.append(("Q5:fault-unconjugated", fault))
+    out.append(("Q5:fault", conj(fault, FAULT_CONJUGATOR)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +474,8 @@ def exact_corpus():
 @pytest.fixture(scope="session")
 def real_corpus():
     return build_real_corpus()
+
+
+@pytest.fixture(scope="session")
+def floor_corpus():
+    return build_floor_corpus()

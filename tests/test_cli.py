@@ -268,6 +268,14 @@ class TestHostileInputCost:
         assert payload["verdict"] is True
         assert payload["fixed_vertex"] == [0, 0, 1]
 
+    def test_q5_companion_with_a_long_constant(self, tmp_path):
+        # x^2 - (10^22 + 3): rational eigenvalues were once sought by trial
+        # division up to the square root of the constant
+        path = write(tmp_path, "c.json", {
+            "field": {"type": "padic", "p": 5},
+            "generators": {"a": [["0", "10000000000000000000003"], ["1", "0"]]}})
+        assert self.report("analyze", "--input", path)["nonparabolic"] is True
+
     def test_tree_huge_prime_base_off_min(self, tmp_path):
         # a fixes the lattices 6 edges out; b translates along an axis 3 edges out
         path = write(tmp_path, "t.json", {
@@ -279,3 +287,28 @@ class TestHostileInputCost:
                              "displacement_at_base": 12}
         assert gens["b"] == {"translation_length": 1, "witness": [0, 0, 3],
                              "displacement_at_base": 7}
+
+
+class TestLazyNumpy:
+    """Only real-field geometry needs numpy; exact-field jobs never load it."""
+
+    def test_exact_field_analyze_leaves_numpy_unloaded(self, tmp_path):
+        path = write(tmp_path, "t.json", TRIANGULAR)
+        code = ("import sys\n"
+                "from localrep.cli import JobSpec, run\n"
+                f"assert run(JobSpec('analyze', input={path!r}))[0] == 0\n"
+                "print('numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_symspace_names_still_import_from_the_package(self):
+        import localrep
+        from localrep import ATTAINED, minimize_displacement
+        from localrep import symspace
+
+        assert minimize_displacement is symspace.minimize_displacement
+        assert ATTAINED == symspace.ATTAINED
+        with pytest.raises(AttributeError):
+            getattr(localrep, "no_such_name")

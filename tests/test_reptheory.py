@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -16,18 +17,23 @@ from localrep import (
     spin,
     trace_fingerprint,
 )
+from localrep.cli import JobSpec, run
 from localrep.errors import NotCrError, NotInvariantError
-from localrep import reptheory
+from localrep import jsonio, reptheory
 from localrep.reptheory import (
     PROBE_SEED,
+    _dimension_floor,
+    _minimal_invariant_subspace,
     find_invertible_intertwiner,
     intertwiner_space,
     invariant_subspace_candidates,
     iter_reduced_words,
     probe_seed,
+    quotient_representation,
+    restrict_to_subspace,
 )
 
-from conftest import trace_form_is_cr
+from conftest import block_tuple, trace_form_is_cr
 
 Q5 = Field.padic(5)
 Q7 = Field.padic(7)
@@ -313,6 +319,106 @@ class TestBatteryMemo:
         assert _walk(rho) == expected
         ok, flag = is_nonparabolic(rho)
         assert not ok and flag.verify(rho)
+
+
+def _exhaustive_minimal(rho):
+    """The rule without a floor: the first candidate of least dimension of the
+    whole walk, refined through restrictions built afresh."""
+    candidates = list(invariant_subspace_candidates(_fresh(rho)))
+    if not candidates:
+        return None
+    best = min(candidates, key=len)
+    while len(best) > 1:
+        inner = _exhaustive_minimal(restrict_to_subspace(rho, best))
+        if inner is None:
+            break
+        field = rho.field
+        lifted = []
+        for coeffs in inner:
+            vec = [field.zero()] * rho.n
+            for c, row in zip(coeffs, best):
+                vec = [x + c * y for x, y in zip(vec, row)]
+            lifted.append(tuple(vec))
+        best = reptheory._canonical_rows(field, lifted)
+    return best
+
+
+def _exhaustive_series(rho):
+    """``(basis change, block sizes)`` of the series built on :func:`_exhaustive_minimal`."""
+    field, n = rho.field, rho.n
+    minimal = _exhaustive_minimal(rho)
+    if minimal is None:
+        return Matrix.identity(field, n), (n,)
+    k = len(minimal)
+    quot, basis = quotient_representation(rho, minimal)
+    inner, sizes = _exhaustive_series(quot)
+    blk = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    for i in range(n - k):
+        blk[k + i][k:] = inner.data[i]
+    return basis * Matrix(field, tuple(tuple(r) for r in blk)), (k,) + sizes
+
+
+def _first_candidate(rho):
+    return next(iter(invariant_subspace_candidates(rho)))
+
+
+class TestMinimalSubspaceFloor:
+    """The walk for a minimal subspace stops at a proven floor, and picks what the full walk picks."""
+
+    def test_matches_the_exhaustive_rule(self, floor_corpus):
+        for name, rho in floor_corpus:
+            assert _minimal_invariant_subspace(_fresh(rho)) == _exhaustive_minimal(rho), name
+            flag = composition_series(_fresh(rho))
+            assert (flag.basis_change, flag.block_sizes) == _exhaustive_series(rho), name
+
+    @pytest.mark.parametrize("tag", ["Q5", "F3T", "R"])
+    def test_floor_on_the_corpus(self, floor_corpus, tag):
+        corpus = dict(floor_corpus)
+        # split, first candidate the larger summand: q = 1 < k and a complement
+        for name, k in (("split-2-1-e1", 2), ("split-3-1-e1", 3)):
+            rho = corpus[f"{tag}:{name}"]
+            first = _first_candidate(rho)
+            assert len(first) == k and _dimension_floor(rho, first) == 1, name
+            assert len(_minimal_invariant_subspace(rho)) == 1, name
+        # non-split, q < k: no complement, so W is the only simple submodule
+        for name, k in (("nonsplit-2-1-e1", 2), ("nonsplit-2-2-e1", 2)):
+            rho = corpus[f"{tag}:{name}"]
+            first = _first_candidate(rho)
+            assert len(first) == k and _dimension_floor(rho, first) == k, name
+
+    def test_floor_falls_back_to_one(self, floor_corpus):
+        # summands C(x^2 - 2) and C(x^2 - 3): irreducible, not absolutely
+        rho = dict(floor_corpus)["Q5:fault-unconjugated"]
+        first = _first_candidate(rho)
+        assert len(first) == 2 and _dimension_floor(rho, first) == 1
+        assert [len(rows) for rows in invariant_subspace_candidates(rho)] == [2, 2]
+
+    def test_floor_is_the_complement_dimension(self):
+        rng = random.Random("floor:Q5:3-2")
+        split = block_tuple(Q5, rng, (3, 2), True, keep_e1=True)
+        first = _first_candidate(split)
+        assert len(first) == 3 and _dimension_floor(split, first) == 2
+        nonsplit = block_tuple(Q5, rng, (3, 2), False, keep_e1=True)
+        first = _first_candidate(nonsplit)
+        assert len(first) == 3 and _dimension_floor(nonsplit, first) == 3
+
+    def test_analyze_never_builds_the_whole_tuple_algebra(self, floor_corpus, monkeypatch,
+                                                          tmp_path):
+        rho = dict(floor_corpus)["Q5:nonsplit-2-2-e1"]
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(jsonio.representation_to_json(rho)))
+        sizes = {"word_algebra_basis": [], "intertwiner_space": []}
+        for name, seen in sizes.items():
+            def counted(r, *args, _original=getattr(reptheory, name), _seen=seen, **kwargs):
+                _seen.append(r.n)
+                return _original(r, *args, **kwargs)
+            monkeypatch.setattr(reptheory, name, counted)
+        code, payload = run(JobSpec("analyze", input=str(path)))
+        assert code == 0
+        assert payload["nonparabolic"] is False and payload["cr"] is False
+        assert payload["flag"]["block_sizes"] == [2, 2]
+        assert sizes["word_algebra_basis"] == [2, 2]  # W and V/W only
+        assert sizes["intertwiner_space"] == []
 
 
 def _random_entry(field, rng):
