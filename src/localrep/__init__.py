@@ -4,7 +4,6 @@ over local fields (real, p-adic rational, and F_p(T) models)."""
 from .fields import Field, FpPoly, FpRat, INFINITY, valuation
 from .linalg import Matrix, rref, smith_padic, solve_linear
 from .reptheory import (
-    INCONCLUSIVE,
     InvariantFlag,
     Representation,
     Semisimplification,
@@ -46,7 +45,7 @@ from .quotient import (
 __all__ = [
     "Field", "FpPoly", "FpRat", "INFINITY", "valuation",
     "Matrix", "rref", "smith_padic", "solve_linear",
-    "INCONCLUSIVE", "InvariantFlag", "Representation", "Semisimplification",
+    "InvariantFlag", "Representation", "Semisimplification",
     "are_conjugate_ss", "composition_series", "has_invariant_complement",
     "is_cr", "is_nonparabolic", "probe_seed", "semisimplify", "spin",
     "trace_fingerprint",

@@ -49,25 +49,6 @@ def probe_seed(seed: int):
         _active_seed.reset(token)
 
 
-class _Inconclusive:
-    """Falsy marker once returned by conjugacy tests that could not settle.
-
-    Kept for callers that import it.  Nothing returns it any more: the
-    Hom/End dimension test of :func:`same_class` always settles.
-    """
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "INCONCLUSIVE"
-
-
-INCONCLUSIVE = _Inconclusive()
-
-
 class Representation:
     """A finite tuple of invertible n x n matrices over one field."""
 

@@ -6,11 +6,15 @@ x -> g x g^T.  For a tuple of generators the displacement function
 
     d_rho(x) = sqrt(sum_s d(x, rho(s) x)^2)
 
-is geodesically convex; its infimum is attained exactly when the tuple is
-completely reducible, and the minimiser search below reports which of the
-two regimes it observed.  Real generators are rescaled to |det| = 1 on
-ingestion, which quotients away the scaling direction without changing the
-displacement data.
+is geodesically convex.  Its infimum is attained exactly when the tuple is
+completely reducible (cr), and the infimum lambda(rho) equals
+lambda(rho_ss) of the semisimplification.  :func:`minimize_displacement`
+therefore takes its verdict from :func:`reptheory.is_cr` and measures
+lambda by one descent: ATTAINED for a cr tuple (descent on rho, whose last
+iterate is the minimiser), DIVERGED for a non-cr one (descent on rho_ss,
+no minimiser), and MAXITER when the descent's budget runs out.  Real
+generators are rescaled to |det| = 1 on ingestion, which quotients away the
+scaling direction without changing the displacement data.
 """
 
 from __future__ import annotations
@@ -26,15 +30,13 @@ from .errors import (
     NotRealFieldError,
     SingularMatrixError,
 )
-from .reptheory import Representation, composition_series
+from .reptheory import Representation, composition_series, is_cr, semisimplify
 
 ATTAINED = "ATTAINED"
 DIVERGED = "DIVERGED"
 MAXITER = "MAXITER"
 
 GRAD_TOL = 1e-6
-ESCAPE_RADIUS = 50.0
-STALL_RATE = 1e-6
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 INITIAL_STEP = 1.0
@@ -195,7 +197,6 @@ class DisplacementReport:
     iterations: int
     trace: list                      # (objective, accepted step, |h|_F) per iteration
     grad_norm: float
-    final_h: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,189 +211,6 @@ class DisplacementReport:
                 for o, s, c in self.trace
             ],
         }
-
-
-def _coordinate_rescue(mats, h: np.ndarray, j0: float):
-    """Best improving step over a coordinate basis of directions, or None.
-
-    Used where the gradient direction yields no acceptable Armijo step
-    (critical points and zigzag corners of thin valleys).  Convexity of J
-    makes a failed rescue a certificate of global minimality up to the
-    numeric floor.
-    """
-    n = h.shape[0]
-    floor = 1e-12 * max(1.0, j0)
-    dirs = []
-    for i in range(n):
-        for j in range(i, n):
-            d = np.zeros((n, n))
-            if i == j:
-                d[i, i] = 1.0
-                d -= np.eye(n) / n
-                if np.abs(d).max() < 1e-14:
-                    continue
-            else:
-                d[i, j] = d[j, i] = 1.0
-            d /= np.linalg.norm(d)
-            dirs.extend([d, -d])
-    for d in dirs:
-        t = 1.0
-        while t > 1e-8:
-            h_new = h @ _sym_exp(t * d)
-            j_new = _objective(mats, h_new)
-            if j_new < j0 - floor:
-                return h_new, j_new, t
-            t *= ARMIJO_SHRINK
-    return None
-
-
-def _dist_from_identity(h: np.ndarray) -> float:
-    """dist(I, h h^T) from the singular values of h (stable at any scale)."""
-    s = np.linalg.svd(h, compute_uv=False)
-    return float(np.sqrt(np.sum((2.0 * np.log(s)) ** 2)))
-
-
-def _descent_burst(mats, h: np.ndarray, j: float, iters: int):
-    """A few standard Armijo steps; returns the re-centred (h, j)."""
-    for _ in range(iters):
-        grad = _gradient(mats, h)
-        gn = float(np.linalg.norm(grad))
-        if gn < 1e-14:
-            break
-        direction = -grad / gn
-        t = INITIAL_STEP
-        accepted = False
-        floor = 1e-12 * max(1.0, j)
-        while t > 1e-12:
-            h_new = h @ _sym_exp(t * direction)
-            j_new = _objective(mats, h_new)
-            if j_new <= j - max(ARMIJO_C * t * gn, floor):
-                h, j = h_new, j_new
-                accepted = True
-                break
-            t *= ARMIJO_SHRINK
-        if not accepted:
-            break
-    return h, j
-
-
-#: radial plateau travel that certifies an escape when the hard radius is
-#: out of float range (the valley thins like exp(c d), so following it to
-#: the radius is not always numerically possible)
-TRAVEL_CERT = 20.0
-
-
-def _sym_of(h: np.ndarray) -> np.ndarray:
-    x = h @ h.T
-    return 0.5 * (x + x.T)
-
-
-def _spd_log_sqrt(x: np.ndarray):
-    w, v = np.linalg.eigh(x)
-    w = np.clip(w, 1e-300, None)
-    return (v * np.log(w)) @ v.T, (v * np.sqrt(w)) @ v.T
-
-
-def _geodesic_extend(x_prev: np.ndarray, x_cur: np.ndarray, max_arc: float):
-    """Continue the geodesic through x_prev, x_cur past x_cur.
-
-    Full point reflection (doubling) when the gap is below ``max_arc``,
-    otherwise an extension by ``max_arc`` along the same geodesic.
-    """
-    w, v = np.linalg.eigh(x_prev)
-    w = np.clip(w, 1e-300, None)
-    p_half = (v * np.sqrt(w)) @ v.T
-    p_inv_half = (v / np.sqrt(w)) @ v.T
-    mid = p_inv_half @ x_cur @ p_inv_half
-    mid = 0.5 * (mid + mid.T)
-    wm, vm = np.linalg.eigh(mid)
-    wm = np.clip(wm, 1e-300, None)
-    gap = float(np.linalg.norm(np.log(wm)))
-    t = 2.0 if gap <= max_arc else 1.0 + max_arc / gap
-    ext = (vm * np.power(wm, t)) @ vm.T
-    out = p_half @ ext @ p_half
-    return 0.5 * (out + out.T)
-
-
-def _escape_probe(mats, h: np.ndarray, j0: float):
-    """Walk the valley floor outward; certify whether it runs to infinity.
-
-    Returns ``(certified, j_best)`` with ``j_best`` the smallest objective
-    seen.  The local gradient is useless near the plateau (it is dominated
-    by the exponentially steep transverse walls), so the walk first coasts
-    along the accumulated displacement direction, the normalised log of
-    x = h h^T, re-centring with a strict descent burst after every arc.
-    When that ray stalls against the walls, the walk switches to geodesic
-    extrapolation through the last two re-centred points, which tracks the
-    valley tangent with shrinking offset.  An escape is certified when the
-    iterate crosses the divergence radius or accumulates enough radial
-    travel at plateau objective; a wander along a flat of minima is refused
-    because there the objective never drops below its starting value, and a
-    genuine minimum stops the walk on the first cycle (no progress).
-    """
-    floor = 1e-9 * max(1.0, j0)
-    # below-plateau evidence: a flat of minima never yields this
-    needed_drop = 5e-12 * max(1.0, j0)
-    j_best = j0
-
-    x = _sym_of(h)
-    log_x, cur = _spd_log_sqrt(x)
-    nrm = float(np.linalg.norm(log_x))
-    if nrm < 1e-6:
-        return False, j_best
-    d_start = _dist_from_identity(cur)
-    prev_dist = d_start
-    x_prev = x
-
-    def certified(d: float) -> bool:
-        if d <= ESCAPE_RADIUS and d - d_start < TRAVEL_CERT:
-            return False
-        return j_best <= j0 - needed_drop or j0 <= 1e-8
-
-    # phase A: coast along the displacement ray
-    stalled = False
-    for _ in range(60):
-        direction = log_x / nrm
-        cur = cur @ _sym_exp(4.0 * direction)
-        cur, j = _descent_burst(mats, cur, _objective(mats, cur), 30)
-        if j > j0 + floor:
-            return False, j_best
-        j_best = min(j_best, j)
-        d = _dist_from_identity(cur)
-        if certified(d):
-            return True, j_best
-        if d - prev_dist < 0.5:
-            stalled = True
-            break
-        x_prev = x
-        x = _sym_of(cur)
-        prev_dist = d
-        log_x, _ = _spd_log_sqrt(x)
-        nrm = float(np.linalg.norm(log_x))
-        if nrm < 1e-9:
-            return False, j_best
-    if not stalled:
-        return False, j_best
-
-    # phase B: secant continuation through the last two re-centred points
-    x_cur = _sym_of(cur)
-    if float(np.linalg.norm(x_cur - x_prev)) == 0.0:
-        return False, j_best
-    for _ in range(40):
-        x_next = _geodesic_extend(x_prev, x_cur, max_arc=8.0)
-        _, root = _spd_log_sqrt(x_next)
-        cur, j = _descent_burst(mats, root, _objective(mats, root), 30)
-        if j > j0 + floor:
-            return False, j_best
-        j_best = min(j_best, j)
-        d = _dist_from_identity(cur)
-        if certified(d):
-            return True, j_best
-        x_prev, x_cur = x_cur, _sym_of(cur)
-        if d - prev_dist < 0.05:
-            return False, j_best
-        prev_dist = d
-    return False, j_best
 
 
 def _polish(mats, h: np.ndarray, j: float):
@@ -437,60 +255,25 @@ def _polish(mats, h: np.ndarray, j: float):
     return h, j, gn
 
 
-def minimize_displacement(rho: Representation, budget: int = 5000) -> DisplacementReport:
-    """Minimise the displacement function over the SPD space.
+def _descend(mats, n: int, budget: int):
+    """Armijo descent on the conjugator h (x = h h^T), then :func:`_polish`.
 
-    Normalised steepest descent with Armijo backtracking on the conjugator
-    h (x = h h^T); step lengths double while full steps keep being accepted,
-    so an escape to infinity reaches the divergence radius quickly instead of
-    stalling.  Verdicts:
-
-    * ATTAINED: no direction decreases the objective beyond the numeric
-      floor, and coasting along the last descent direction does not leave
-      the bounded region (the minimum is at the final iterate);
-    * DIVERGED: the iterate passed the escape radius while the decrease per
-      unit distance stalled, or the terminal coast crossed it at constant
-      objective (the infimum is approached along an escape ray);
-    * MAXITER: budget exhausted before either certificate.
+    Normalised steepest descent with backtracking; the trial step doubles
+    while full steps keep being accepted.  The walk stops when the gradient
+    norm is at most ``GRAD_TOL`` or no Armijo step is accepted, and is then
+    polished.  Returns ``(h, objective, iterations, trace, grad_norm,
+    done)``, where ``done`` is False when the budget ran out first (no
+    polish then).
     """
-    mats = list(_action_matrices(rho).values())
-    n = rho.n
     h = np.eye(n)
     j_cur = _objective(mats, h)
     trace = []
     t_init = INITIAL_STEP
-    stall_window = 25
-    stall_anchor = (0, j_cur)  # (iteration, objective) at the window start
-
-    def finish(it, gn, status, minimizer=None):
-        return DisplacementReport(
-            lambda_est=math.sqrt(max(j_cur, 0.0)),
-            attained=status,
-            minimizer=minimizer,
-            iterations=it, trace=trace, grad_norm=gn, final_h=h,
-        )
-
-    def terminal(it, gn, dist0):
-        nonlocal h, j_cur
-        if dist0 > ESCAPE_RADIUS:
-            return finish(it, gn, DIVERGED)
-        escaped, j_best = _escape_probe(mats, h, j_cur)
-        if escaped:
-            j_cur = min(j_cur, j_best)
-            return finish(it, gn, DIVERGED)
-        h, j_cur, gn = _polish(mats, h, j_cur)
-        return finish(it, gn, ATTAINED, minimizer=SPDPoint.normalized(h @ h.T))
-
     for it in range(budget):
         grad = _gradient(mats, h)
         gn = float(np.linalg.norm(grad))
-        dist0 = _dist_from_identity(h)
-
         if gn <= GRAD_TOL:
-            # spec trigger: tiny gradient; the probe separates a true minimum
-            # from the flat stretch of an escape ray
-            return terminal(it, gn, dist0)
-
+            break
         direction = -grad / gn
         t = t_init
         accepted = None
@@ -499,64 +282,53 @@ def minimize_displacement(rho: Representation, budget: int = 5000) -> Displaceme
             h_new = h @ _sym_exp(t * direction)
             j_new = _objective(mats, h_new)
             if j_new <= j_cur - max(ARMIJO_C * t * gn, floor):
-                accepted = (t, h_new, j_new)
+                accepted = t
                 break
             t *= ARMIJO_SHRINK
-
         if accepted is None:
-            if gn <= GRAD_TOL:
-                return terminal(it, gn, dist0)
-            rescue = _coordinate_rescue(mats, h, j_cur)
-            if rescue is None:
-                return terminal(it, gn, dist0)
-            # improvable but not along the gradient: zigzag corner of a thin
-            # valley; check for an escape, otherwise take the rescue step
-            escaped, j_best = _escape_probe(mats, h, j_cur)
-            if escaped:
-                j_cur = min(j_cur, j_best)
-                return finish(it, gn, DIVERGED)
-            h, j_cur, t_res = rescue
-            trace.append((j_cur, t_res, float(np.linalg.norm(h))))
-            t_init = INITIAL_STEP
-            continue
-
-        t_acc, h_new, j_new = accepted
-        moved = 2.0 * t_acc  # exact arc length of the step x -> h e^{tD} ...
-        decrease = j_cur - j_new
+            break
         h, j_cur = h_new, j_new
-        trace.append((j_cur, t_acc, float(np.linalg.norm(h))))
-
-        dist_new = _dist_from_identity(h)
-        if dist_new > ESCAPE_RADIUS and decrease / moved < STALL_RATE:
-            return finish(it + 1, gn, DIVERGED)
-
-        # slow-crawl guard: a thin curved valley makes plain descent zigzag
-        # indefinitely; probe periodically whether it runs off to infinity
-        # (at a true minimum the probe aborts on its first cycle)
-        fire_periodic = (it + 1) % 200 == 0
-        fire_stalled = False
-        if it - stall_anchor[0] >= stall_window:
-            fire_stalled = stall_anchor[1] - j_cur <= 1e-9 * max(1.0, j_cur)
-            stall_anchor = (it, j_cur)
-        if fire_periodic or fire_stalled:
-            escaped, j_best = _escape_probe(mats, h, j_cur)
-            if escaped:
-                j_cur = min(j_cur, j_best)
-                return finish(it + 1, gn, DIVERGED)
-
+        trace.append((j_cur, accepted, float(np.linalg.norm(h))))
         # grow the trial step while full steps are accepted, shrink otherwise
-        if t_acc >= t_init * 0.999:
+        if accepted >= t_init * 0.999:
             t_init = min(t_init * 2.0, MAX_STEP)
         else:
-            t_init = max(t_acc * 2.0, INITIAL_STEP)
+            t_init = max(accepted * 2.0, INITIAL_STEP)
+    else:
+        gn = float(np.linalg.norm(_gradient(mats, h)))
+        return h, j_cur, budget, trace, gn, False
+    h, j_cur, gn = _polish(mats, h, j_cur)
+    return h, j_cur, it, trace, gn, True
 
-    grad = _gradient(mats, h)
+
+def minimize_displacement(rho: Representation, budget: int = 5000) -> DisplacementReport:
+    """Minimise the displacement function over the SPD space.
+
+    The infimum of d_rho is attained exactly when rho is completely
+    reducible, and it equals lambda(rho_ss) either way.  So the verdict
+    comes from :func:`is_cr`, and the descent (:func:`_descend`) only
+    measures lambda:
+
+    * ATTAINED: rho is cr; the descent ran on rho and its final iterate is
+      the minimiser;
+    * DIVERGED: rho is not cr; the descent ran on ``semisimplify(rho).rho_ss``,
+      whose minimum is the infimum of d_rho, and there is no minimiser;
+    * MAXITER: the descent's budget ran out first (no minimiser).
+    """
+    mats = list(_action_matrices(rho).values())
+    cr = is_cr(rho)
+    if not cr:
+        mats = list(_action_matrices(semisimplify(rho).rho_ss).values())
+    h, j, iterations, trace, gn, done = _descend(mats, rho.n, budget)
+    if not done:
+        status, minimizer = MAXITER, None
+    elif cr:
+        status, minimizer = ATTAINED, SPDPoint.normalized(h @ h.T)
+    else:
+        status, minimizer = DIVERGED, None
     return DisplacementReport(
-        lambda_est=math.sqrt(max(j_cur, 0.0)),
-        attained=MAXITER,
-        minimizer=None,
-        iterations=budget, trace=trace,
-        grad_norm=float(np.linalg.norm(grad)), final_h=h,
+        lambda_est=math.sqrt(max(j, 0.0)), attained=status, minimizer=minimizer,
+        iterations=iterations, trace=trace, grad_norm=gn,
     )
 
 

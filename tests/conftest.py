@@ -382,6 +382,13 @@ FLOOR_SHAPES = (
 FAULT_COMPANIONS = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]
 FAULT_CONJUGATOR = [[-1, 2, -2, 1], [-2, -1, 0, -1], [-1, 1, 1, 1], [-2, -1, 1, 1]]
 
+# the benchmark's geometry/fault tuple: a non-split real 3x3 upper triangular
+# pair (semisimplification +-diag(1, 1, 1) after rescaling, so lambda = 0) and
+# the conjugator it is seen through
+GEOMETRY_FAULT_UPPER = {"a": [[-3, 1, 0], [0, -3, 0], [0, 0, 3]],
+                        "b": [[-1, 3, 0], [0, -1, 0], [0, 0, 1]]}
+GEOMETRY_FAULT_CONJUGATOR = [[0, 1, 0], [0, -1, 1], [1, -1, 0]]
+
 
 def _draw_scalar(field, rng, nonzero=False):
     while True:
@@ -446,6 +453,21 @@ def block_tuple(field, rng, sizes, split, keep_e1=False, symbols=("a", "b")):
     if not keep_e1:
         h = Matrix.from_rows(field, _unitriangular(field, rng, n, upper=False)) * h
     return mk(field, gens).conjugate_by(h)
+
+
+def conjugated_diagonal(field, rng, n, symbols=("a", "b")):
+    """A seeded conjugate of a diagonal tuple, with its diagonals.
+
+    The conjugator is a lower times an upper unitriangular matrix, as in
+    :func:`block_tuple`.
+    """
+    zero = field.zero()
+    diags = [[_draw_scalar(field, rng, nonzero=True) for _ in range(n)] for _ in symbols]
+    gens = {sym: [[d[i] if i == j else zero for j in range(n)] for i in range(n)]
+            for sym, d in zip(symbols, diags)}
+    h = (Matrix.from_rows(field, _unitriangular(field, rng, n, upper=False))
+         * Matrix.from_rows(field, _unitriangular(field, rng, n, upper=True)))
+    return mk(field, gens).conjugate_by(h), diags
 
 
 def build_floor_corpus(seed: int = 8) -> list:

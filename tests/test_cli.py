@@ -3,14 +3,19 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from localrep import Field
 from localrep.cli import JobSpec, main, run
-from localrep.errors import ParseError
+from localrep.errors import LocalRepError, ParseError
 from localrep.jsonio import (
     representation_from_json,
     representation_to_json,
     round_floats,
 )
+
+from conftest import GEOMETRY_FAULT_CONJUGATOR, GEOMETRY_FAULT_UPPER, conj, mk
 
 
 def write(tmp_path, name, payload):
@@ -237,6 +242,61 @@ class TestMainExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["cr"] is False
+
+
+def _integer_matrix(n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)))
+
+
+def _pair(n, upper):
+    """Two n x n integer matrices; zeroed below the diagonal when ``upper``."""
+    return st.tuples(_integer_matrix(n), _integer_matrix(n)).map(
+        lambda pair: tuple([[0 if upper and j < i else x for j, x in enumerate(row)]
+                            for i, row in enumerate(m)] for m in pair))
+
+
+# upper triangular pairs are reducible, so about half the draws are not cr
+invertible_pairs = st.tuples(st.integers(2, 3), st.booleans()).flatmap(
+    lambda shape: _pair(*shape)
+).filter(lambda pair: _det(pair[0]) != 0 and _det(pair[1]) != 0)
+
+
+class TestMinimizeVerdict:
+    """The minimiser's status is the cr verdict of ``analyze``."""
+
+    def test_geometry_fault_diverges_without_traceback(self, tmp_path):
+        rho = conj(mk(Field.real(), GEOMETRY_FAULT_UPPER), GEOMETRY_FAULT_CONJUGATOR)
+        path = write(tmp_path, "fault.json", representation_to_json(rho))
+        proc = subprocess.run(
+            [sys.executable, "-m", "localrep.cli", "minimize", "--input", path],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["status"] == "DIVERGED"
+
+    @given(invertible_pairs)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_diverged_exactly_when_not_cr(self, tmp_path_factory, pair):
+        path = write(tmp_path_factory.mktemp("pair"), "r.json", {
+            "field": {"type": "real"},
+            "n": len(pair[0]),
+            "generators": {s: [[str(x) for x in row] for row in m]
+                           for s, m in zip("ab", pair)},
+        })
+        try:
+            _, minimized = run(JobSpec(command="minimize", input=path, budget=300))
+            _, analyzed = run(JobSpec(command="analyze", input=path))
+        except LocalRepError:
+            return
+        assert (minimized["status"] == "DIVERGED") == (analyzed["cr"] is False)
 
 
 BIG_P = 1000000000000000003  # prime, near 10^18

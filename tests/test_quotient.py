@@ -7,7 +7,6 @@ from localrep import (
     BlockStructure,
     Field,
     FundamentalSequence,
-    INCONCLUSIVE,
     Matrix,
     Representation,
     are_conjugate_ss,
@@ -247,9 +246,3 @@ class TestLambdaInvariant:
         rho_i = Representation(R, {"a": us * rs * seq.conjugate_power(ns, imax)})
         assert abs(lambda_class_invariant(rho_i) - lam_limit) <= 1e-3
 
-
-class TestInconclusiveMarker:
-    def test_is_falsy_and_distinct(self):
-        assert not INCONCLUSIVE
-        assert INCONCLUSIVE is not False
-        assert repr(INCONCLUSIVE) == "INCONCLUSIVE"

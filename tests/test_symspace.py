@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,9 +15,18 @@ from localrep import (
     dist,
     grad_objective,
     minimize_displacement,
+    semisimplify,
 )
 from localrep.errors import NotAttainedError, NotRealFieldError
 from localrep.symspace import _action_matrices, _objective, _sym_exp, act
+
+from conftest import (
+    GEOMETRY_FAULT_CONJUGATOR,
+    GEOMETRY_FAULT_UPPER,
+    block_tuple,
+    conj,
+    conjugated_diagonal,
+)
 
 R = Field.real()
 E = math.e
@@ -194,6 +204,65 @@ class TestMinimize:
             rho_i = Representation(R, {"a": u * lev * seq.conjugate_power(npart, i)})
             lam_i = minimize_displacement(rho_i).lambda_est
             assert lam_i <= lam_limit + 1e-3
+
+
+def closed_form_lambda(diagonals):
+    """lambda of a diagonal tuple: each generator rescaled to |det| = 1."""
+    total = 0.0
+    for d in diagonals:
+        mean = sum(math.log(abs(x)) for x in d) / len(d)
+        total += sum((2.0 * (math.log(abs(x)) - mean)) ** 2 for x in d)
+    return math.sqrt(total)
+
+
+# a conjugate of the diagonal pair (diag(-2, 6, 2), diag(3, -6, -6)), cr; a
+# minimiser that guessed its verdict from the descent called it DIVERGED
+DIAG_ONCE_DIVERGED = (
+    {"a": [[2, 0, -8], [0, -2, -16], [0, 0, 6]], "b": [[-6, 0, 0], [0, 3, 18], [0, 0, -6]]},
+    [[-2, 6, 2], [3, -6, -6]],
+)
+
+
+class TestVerdictCorpus:
+    """Verdicts on seeded constructions, each labelled cr or not by construction."""
+
+    def test_geometry_fault_diverges_to_zero(self):
+        rho = conj(rep(GEOMETRY_FAULT_UPPER), GEOMETRY_FAULT_CONJUGATOR)
+        report = minimize_displacement(rho)
+        assert report.attained == DIVERGED
+        assert report.minimizer is None
+        assert report.lambda_est < 1e-9
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1), (1, 2)])
+    def test_conjugated_nonsplit_diverges_at_lambda_ss(self, sizes):
+        tag = "".join(map(str, sizes))
+        for seed in range(30):
+            rho = block_tuple(R, random.Random(f"verdict:{tag}:{seed}"), sizes, split=False)
+            report = minimize_displacement(rho)
+            assert report.attained == DIVERGED, seed
+            assert report.minimizer is None
+            ss = minimize_displacement(semisimplify(rho).rho_ss)
+            assert report.lambda_est == ss.lambda_est, seed
+
+    def test_conjugated_diagonal_attained_at_closed_form(self):
+        gens, diags = DIAG_ONCE_DIVERGED
+        cases = [("once-diverged", rep(gens), diags)]
+        for seed in range(30):
+            rho, diags = conjugated_diagonal(R, random.Random(f"verdict:diag3:{seed}"), 3)
+            cases.append((seed, rho, diags))
+        for name, rho, diags in cases:
+            report = minimize_displacement(rho)
+            assert report.attained == ATTAINED, name
+            want = closed_form_lambda(diags)
+            assert abs(report.lambda_est - want) <= 1e-6 * max(1.0, want), name
+
+    def test_conjugated_nonsplit_2_1_never_attained(self):
+        # is_cr misses some of these (the battery finds no invariant plane),
+        # so they take the cr branch; a non-cr rho has no minimiser to reach
+        for seed in range(30):
+            rho = block_tuple(R, random.Random(f"verdict:21:{seed}"), (2, 1), split=False)
+            report = minimize_displacement(rho, budget=300)
+            assert report.attained != ATTAINED, seed
 
 
 class TestSymmetryAtMin:
