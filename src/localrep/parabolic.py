@@ -7,6 +7,24 @@ suitable diagonal matrix contracts the unipotent off-diagonal part, which is
 how block triangular tuples degenerate onto their block diagonal and how
 pairs of opposite-parabolic tuples are joined by an explicit path of
 conjugates.
+
+The path is read in closed form.  With base = diag(c_1 I, ..., c_k I), a
+tuple g- = u r in the lower and g+ = r n in the upper parabolic (u, n
+unitriangular, r the shared Levi part) are joined by rho_i = g- N_i,
+N_i = base^-i n base^i, and
+
+    rho_i - g-                  = sum_{p<q} (c_q/c_p)^i g-[:, P] n[P, Q],
+    base^i rho_i base^-i - g+   = sum_{p<q} (c_q/c_p)^i u[Q, P] g+[P, :].
+
+So every entry of either difference is a sum of at most k - 1 terms m x^i
+with distinct ratios x.  Over Q_p and F_p(T) its valuation at step i is
+min_t (v(m_t) + i v(x_t)) wherever one term attains that minimum; only the
+ties are evaluated exactly.  Over R the magnitude |sum m_t x_t^i| is taken
+directly, with no cancellation against the limit.  By block LDU the leading
+block minors of u r N_i are those of r, so the path stays in the big cell
+for every i as soon as r is invertible.  On exact fields the verdict of
+:func:`build_neighbors` is a proof of both limits (every ratio has
+valuation >= 1); on R it is the observed decay of the tabled magnitudes.
 """
 
 from __future__ import annotations
@@ -299,13 +317,12 @@ def contract_limit(g: Matrix, seq: FundamentalSequence, imax: int) -> ContractRe
     converged = True
     threshold = True
     for (i, j) in tracked:
-        vals = []
-        for step in range(imax + 1):
-            val = g.data[i][j] * (cs[j] / cs[i]) ** step
-            if f.is_real:
-                vals.append(abs(val))
-            else:
-                vals.append(f.valuation(val))
+        if f.is_real:
+            vals = [abs(g.data[i][j] * (cs[j] / cs[i]) ** step) for step in range(imax + 1)]
+        else:
+            # one term: its valuation gains v(c_j/c_i) per step
+            v0, slope = f.valuation(g.data[i][j]), f.valuation(cs[j] / cs[i])
+            vals = [v0 + step * slope for step in range(imax + 1)]
         if f.is_real:
             incs = tuple(b2 / b1 for b1, b2 in zip(vals, vals[1:]))
             entry_ok = all(r < 1.0 - 1e-12 for r in incs)
@@ -375,10 +392,13 @@ def contract_unipotent(nseq, seq: FundamentalSequence,
 
 @dataclass(frozen=True)
 class DegenerationTrace:
-    """Full record of the conjugation path rho_i joining two tuples.
+    """Record of the conjugation path rho_i joining two tuples.
 
-    ``rho_i(s) = u(s) r(s) (base^-i n'(s) base^i)`` converges to the lower
-    tuple while its conjugate by base^i converges to the upper one.
+    ``rho_i(s) = u(s) r(s) (base^-i n(s) base^i)`` converges to the lower
+    tuple while its conjugate by base^i converges to the upper one.  The
+    tables hold, per generator, the valuations (or magnitudes) of the
+    entries of rho_i - rho_minus and base^i rho_i base^-i - rho_plus for
+    i = 0..imax; see :func:`build_neighbors`.
     """
 
     blocks: BlockStructure
@@ -420,55 +440,103 @@ class DegenerationTrace:
         }
 
 
-def _difference_traces(field: Field, mats, target: Matrix):
-    """Valuation (or magnitude) traces of mats[i] - target, per entry."""
-    n = target.n
+def _closed_form_terms(left: Matrix, right: Matrix, seq: FundamentalSequence,
+                       by_row: bool) -> list:
+    """Terms of D_i = sum_{p<q} (c_q/c_p)^i left[:, P] right[P, Q], entry by entry.
+
+    Q is the entry's column block (``by_row`` false) or its row block
+    (``by_row`` true), and P runs over the blocks before it.  Returns
+    ``(row, col, terms)`` in row-major order, where ``terms`` lists the pairs
+    (m, x) with m = left[row, P] right[P, col] nonzero and x = c_q/c_p, so
+    that D_i[row, col] = sum m x^i.
+    """
+    f = left.field
+    zero = f.zero()
+    b = seq.blocks.boundaries
+    owner = [bi for bi, size in enumerate(seq.blocks.sizes) for _ in range(size)]
+    cs = [seq.base.data[lo][lo] for lo in b[:-1]]
+    out = []
+    for row in range(left.n):
+        for col in range(left.n):
+            q = owner[row] if by_row else owner[col]
+            terms = []
+            for p in range(q):
+                m = sum((left.data[row][a] * right.data[a][col] for a in range(b[p], b[p + 1])),
+                        start=zero)
+                if m != zero:
+                    terms.append((m, cs[q] / cs[p]))
+            out.append((row, col, terms))
+    return out
+
+
+def _valuations(field: Field, terms, imax: int) -> list:
+    """v(sum_t m_t x_t^i) for i = 0..imax, over an exact field.
+
+    Term t has valuation v(m_t) + i v(x_t).  Where one term alone attains the
+    minimum, that minimum is the valuation of the sum; only where several
+    tie is the sum evaluated exactly.
+    """
+    lines = [(field.valuation(m), field.valuation(x)) for m, x in terms]
+    vals = []
+    for i in range(imax + 1):
+        lows = [a + i * s for a, s in lines]
+        low = min(lows)
+        if lows.count(low) == 1:
+            vals.append(low)
+        else:
+            vals.append(field.valuation(
+                sum((m * x ** i for m, x in terms), start=field.zero())))
+    return vals
+
+
+def _difference_table(field: Field, terms, imax: int, scale: float):
+    """EntryTrace of every entry whose difference is not zero along the path.
+
+    Values are valuations (exact fields) or magnitudes |sum_t m_t x_t^i|
+    (real), which carry no cancellation against the limit.  Over R an entry
+    counts as zero when every magnitude is at most 1e-15 max(1, scale).
+    """
     traces = []
-    sc = max([target.entry_scale()] + [m.entry_scale() for m in mats]) if field.is_real else 1.0
-    for i in range(n):
-        for j in range(n):
-            vals = []
-            nonconstant = False
-            for m in mats:
-                d = m.data[i][j] - target.data[i][j]
-                if field.is_real:
-                    vals.append(abs(d))
-                    nonconstant = nonconstant or abs(d) > 1e-15 * max(1.0, sc)
-                else:
-                    v = field.valuation(d)
-                    vals.append(v)
-                    nonconstant = nonconstant or v != INFINITY
-            if nonconstant:
-                traces.append(EntryTrace(row=i, col=j, values=tuple(vals), increments=()))
+    for row, col, ts in terms:
+        if not ts:
+            continue
+        if field.is_real:
+            vals = [abs(sum(m * x ** i for m, x in ts)) for i in range(imax + 1)]
+            keep = any(v > 1e-15 * max(1.0, scale) for v in vals)
+        else:
+            vals = _valuations(field, ts, imax)
+            keep = any(v != INFINITY for v in vals)
+        if keep:
+            traces.append(EntryTrace(row=row, col=col, values=tuple(vals), increments=()))
     return tuple(traces)
 
 
-def _trace_converges(field: Field, traces) -> bool:
-    """Linear valuation growth (exact) or geometric decay (real), per entry.
+def _converges(field: Field, terms, table) -> bool:
+    """Does every entry of the difference tend to zero?
 
-    Multi-term entries can hit a valuation crossing where ultrametric
-    cancellation bumps one value above the envelope, so single steps of
-    increment zero are tolerated as long as the values never decrease, the
-    average slope is at least one, and the final step is strict.
+    Exact fields: the valuation of an entry is at least its lower envelope
+    min_t (v(m_t) + i v(x_t)), which rises by at least one per step when
+    every ratio has v(x_t) >= 1.  Real field: each tabled magnitude is
+    strictly decreasing once nonzero and at most 10 REAL_LIMIT_TOLERANCE at
+    the last step.
     """
-    for e in traces:
-        if field.is_real:
-            # geometric decay: strictly decreasing once nonzero, tiny at the end
-            nz = [v for v in e.values if v > 0.0]
-            if nz and (e.values[-1] > REAL_LIMIT_TOLERANCE * 10 or
-                       any(b >= a for a, b in zip(nz, nz[1:]))):
-                return False
-        else:
-            finite = [(idx, v) for idx, v in enumerate(e.values) if v != INFINITY]
-            if len(finite) >= 2:
-                if any(v2 < v1 for (_, v1), (_, v2) in zip(finite, finite[1:])):
-                    return False
-                (i0, v0), (i1, v1) = finite[0], finite[-1]
-                if v1 - v0 < i1 - i0:
-                    return False
-                (ip, vp), (iq, vq) = finite[-2], finite[-1]
-                if (vq - vp) / (iq - ip) < 1:
-                    return False
+    if not field.is_real:
+        return all(field.valuation(x) >= 1 for _, _, ts in terms for _, x in ts)
+    for e in table:
+        nz = [v for v in e.values if v > 0.0]
+        if nz and (e.values[-1] > REAL_LIMIT_TOLERANCE * 10 or
+                   any(b >= a for a, b in zip(nz, nz[1:]))):
+            return False
+    return True
+
+
+def _leading_minors_nonzero(r: Matrix, blocks: BlockStructure) -> bool:
+    """Are the leading principal minors of r at the block boundaries nonzero?"""
+    f = r.field
+    for end in blocks.boundaries[1:]:
+        top = Matrix(f, tuple(row[:end] for row in r.data[:end]))
+        if f.is_zero(top.det(), top.entry_scale()):
+            return False
     return True
 
 
@@ -477,9 +545,27 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
                     imax: int) -> DegenerationTrace:
     """Join a lower and an upper block triangular tuple with equal Levi parts.
 
-    Constructs rho_i(s) = u(s) r(s) (base^-i n'(s) base^i) and verifies that
-    rho_i tends to the lower tuple while base^i rho_i base^-i tends to the
-    upper one, recording per-entry decay tables for both limits.
+    For each generator, g- = u r and g+ = r n with u block lower and n block
+    upper unitriangular and r the shared block diagonal.  The path is
+    rho_i = u r N_i = g- N_i with N_i = base^-i n base^i; it tends to g-,
+    while base^i rho_i base^-i = U_i g+ with U_i = base^i u base^-i tends to
+    g+.  Both differences are finite sums over block pairs p < q, with
+    x = c_q/c_p:
+
+        rho_i - g-                  = sum x^i g-[:, P] n[P, Q]   (columns in Q)
+        base^i rho_i base^-i - g+   = sum x^i u[Q, P] g+[P, :]   (rows in Q)
+
+    The tables hold, for i = 0..imax, the valuation (exact fields) or the
+    magnitude (R) of each entry of these sums, read off the closed form.  In
+    one entry the ratios x are distinct, since |c| strictly decreases.
+
+    ``verdict`` certifies, on exact fields, that every term's ratio has
+    valuation at least one, so each entry's valuation grows at least linearly
+    and both limits hold exactly; on R, that every tabled magnitude decays
+    strictly and ends below 10 REAL_LIMIT_TOLERANCE.  ``big_cell_ok`` uses
+    block LDU: the leading block minors of u r N_i are those of r for every
+    i.  On exact fields inverting r has already shown them nonzero; on R
+    they are tested once against the tolerance.
     """
     f = rho_minus.field
     if rho_plus.field != f or rho_plus.n != rho_minus.n:
@@ -503,32 +589,21 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
         ns[s] = rinv * gp
 
     symbols = rho_minus.symbols
-    path = {s: [] for s in symbols}
-    conj_path = {s: [] for s in symbols}
-    big_cell_ok = True
-    for i in range(imax + 1):
-        for s in symbols:
-            rho_i = us[s] * rs[s] * seq.conjugate_power(ns[s], i)
-            path[s].append(rho_i)
-            conj_path[s].append(seq.conjugate_power(rho_i, -i))
-            # leading principal blocks stay invertible along the path
-            b = blocks.boundaries
-            for bj in range(1, blocks.k + 1):
-                top = Matrix(f, tuple(
-                    tuple(rho_i.data[r][c] for c in range(b[bj]))
-                    for r in range(b[bj])
-                ))
-                if f.is_zero(top.det(), top.entry_scale()):
-                    big_cell_ok = False
-
-    table_minus = {
-        s: _difference_traces(f, path[s], rho_minus.gens[s]) for s in symbols
-    }
-    table_plus = {
-        s: _difference_traces(f, conj_path[s], rho_plus.gens[s]) for s in symbols
-    }
-    verdict_minus = all(_trace_converges(f, t) for t in table_minus.values())
-    verdict_plus = all(_trace_converges(f, t) for t in table_plus.values())
+    big_cell_ok = not f.is_real or all(_leading_minors_nonzero(rs[s], blocks) for s in symbols)
+    initial, final = {}, {}
+    table_minus, table_plus = {}, {}
+    verdict_minus = verdict_plus = True
+    for s in symbols:
+        gm, gp = rho_minus.gens[s], rho_plus.gens[s]
+        initial[s] = gm * ns[s]
+        final[s] = gm * seq.conjugate_power(ns[s], imax)
+        lower = _closed_form_terms(gm, ns[s], seq, by_row=False)
+        upper = _closed_form_terms(us[s], gp, seq, by_row=True)
+        sc = initial[s].entry_scale()
+        table_minus[s] = _difference_table(f, lower, imax, max(sc, gm.entry_scale()))
+        table_plus[s] = _difference_table(f, upper, imax, max(sc, gp.entry_scale()))
+        verdict_minus = verdict_minus and _converges(f, lower, table_minus[s])
+        verdict_plus = verdict_plus and _converges(f, upper, table_plus[s])
     return DegenerationTrace(
         blocks=blocks,
         imax=imax,
@@ -538,6 +613,6 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
         table_minus=table_minus,
         table_plus=table_plus,
         big_cell_ok=big_cell_ok,
-        final={s: path[s][-1] for s in symbols},
-        initial={s: path[s][0] for s in symbols},
+        final=final,
+        initial=initial,
     )

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localrep import (
+    INFINITY,
     BlockStructure,
     Field,
     FundamentalSequence,
@@ -24,8 +25,86 @@ from localrep.errors import (
 )
 
 Q5 = Field.padic(5)
+F3 = Field.funcfield(3)
 R = Field.real()
 B11 = BlockStructure(2, (1, 1))
+
+
+def explicit_path_report(rho_minus, rho_plus, blocks, seq, imax):
+    """The degeneration report read off the explicit path, step by step.
+
+    The oracle for the closed form of ``build_neighbors``: rho_i = u r N_i by
+    matrix products with N_i = base^-i n base^i from ``conjugate_power``, its
+    conjugate base^i rho_i base^-i likewise, the big cell from the leading
+    block minors of every rho_i, and each table from the valuation (or
+    magnitude) of every entry of rho_i - rho_minus (resp. of the conjugate
+    minus rho_plus).  The report has no ``verdict``.
+    """
+    f = rho_minus.field
+    ends = blocks.boundaries[1:]
+    big_cell_ok = True
+    tables = {"toward_lower": {}, "toward_upper": {}}
+    for s in rho_minus.symbols:
+        gm, gp = rho_minus.gens[s], rho_plus.gens[s]
+        r = blocks.diagonal_part(gm)
+        rinv = r.inv()
+        u, n = gm * rinv, rinv * gp
+        path, conj = [], []
+        for i in range(imax + 1):
+            rho_i = u * r * seq.conjugate_power(n, i)
+            path.append(rho_i)
+            conj.append(seq.conjugate_power(rho_i, -i))
+            for end in ends:
+                top = Matrix(f, tuple(row[:end] for row in rho_i.data[:end]))
+                if f.is_zero(top.det(), top.entry_scale()):
+                    big_cell_ok = False
+        for key, mats, target in (("toward_lower", path, gm), ("toward_upper", conj, gp)):
+            sc = max([target.entry_scale()] + [m.entry_scale() for m in mats])
+            rows = []
+            for i in range(gm.n):
+                for j in range(gm.n):
+                    diffs = [m.data[i][j] - target.data[i][j] for m in mats]
+                    if f.is_real:
+                        vals = [abs(d) for d in diffs]
+                        keep = any(v > 1e-15 * max(1.0, sc) for v in vals)
+                    else:
+                        vals = [f.valuation(d) for d in diffs]
+                        keep = any(v != INFINITY for v in vals)
+                    if keep:
+                        rows.append({"row": i, "col": j,
+                                     "values": ["inf" if v == INFINITY else v for v in vals]})
+            tables[key][s] = rows
+    return {"blocks": list(blocks.sizes), "imax": imax,
+            **tables, "big_cell_ok": big_cell_ok}
+
+
+def opposite_pair(field, rng, sizes, symbols=("a", "b")):
+    """A seeded lower/upper block triangular pair g- = u r, g+ = r n."""
+    blocks = BlockStructure(sum(sizes), sizes)
+    n = blocks.n
+    owner = [bi for bi, size in enumerate(sizes) for _ in range(size)]
+    choices = {"padic": [0, 1, -1, 2, 3, 5, -10, 25, "1/5", "2/25"],
+               "funcfield": ["0", "1", "2", "T", "T+2", "2*T^2+1", "1/T"]}.get(field.kind)
+
+    def draw():
+        return rng.choice(choices) if choices else round(rng.uniform(-3, 3), 3)
+
+    minus, plus = {}, {}
+    for s in symbols:
+        while True:
+            r = Matrix.from_rows(field, [[draw() if owner[i] == owner[j] else 0
+                                          for j in range(n)] for i in range(n)])
+            if not field.is_zero(r.det(), r.entry_scale()):
+                break
+        u = Matrix.from_rows(field, [[1 if i == j else draw() if owner[i] > owner[j] else 0
+                                      for j in range(n)] for i in range(n)])
+        npart = Matrix.from_rows(field, [[1 if i == j else draw() if owner[i] < owner[j] else 0
+                                          for j in range(n)] for i in range(n)])
+        minus[s], plus[s] = u * r, r * npart
+    return Representation(field, minus), Representation(field, plus), blocks
+
+
+ORACLE_SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (1, 2, 1))
 
 
 class TestLeviDecompose:
@@ -219,6 +298,100 @@ class TestBuildNeighbors:
                 Representation.from_entries(Q5, {"a": [[2, 0], [0, 3]]}),
                 Representation.from_entries(Q5, {"a": [[3, 0], [0, 2]]}),
                 B11, seq, 3)
+
+    def test_crossing_does_not_spoil_the_verdict(self):
+        """Entry (2, 1) of the upper table reads 1, 1, 2, ...: two terms tie at
+        step 1 and cancel, yet every ratio has valuation >= 1."""
+        blocks = BlockStructure(3, (1, 1, 1))
+        rho_minus = Representation.from_entries(Q5, {"a": [[1, 0, 0], [-1, 1, 0], [-1, -1, 2]]})
+        rho_plus = Representation.from_entries(Q5, {"a": [[1, 4, 0], [0, 1, 0], [0, 0, 2]]})
+        trace = build_neighbors(rho_minus, rho_plus, blocks,
+                                FundamentalSequence.default(blocks, Q5), 12)
+        entry = [e for e in trace.table_plus["a"] if (e.row, e.col) == (2, 1)]
+        assert entry[0].values == (1,) + tuple(range(1, 13))
+        assert trace.to_json_dict()["verdict"] is True
+
+    @pytest.mark.parametrize("field", [Q5, F3], ids=["Q5", "F3T"])
+    @pytest.mark.parametrize("sizes", ORACLE_SHAPES)
+    def test_matches_explicit_path_exact(self, field, sizes):
+        rng = random.Random(f"oracle:{field}:{sizes}")
+        for _ in range(3):
+            rho_minus, rho_plus, blocks = opposite_pair(field, rng, sizes)
+            seq = FundamentalSequence.default(blocks, field)
+            imax = rng.randint(6, 40)
+            got = build_neighbors(rho_minus, rho_plus, blocks, seq, imax).to_json_dict()
+            want = explicit_path_report(rho_minus, rho_plus, blocks, seq, imax)
+            # every term's ratio has valuation >= 1: the path converges
+            assert got.pop("verdict") is True
+            assert got == want
+
+    @pytest.mark.parametrize("sizes", ORACLE_SHAPES)
+    def test_matches_explicit_path_real(self, sizes):
+        rng = random.Random(f"oracle:R:{sizes}")
+        for _ in range(3):
+            rho_minus, rho_plus, blocks = opposite_pair(R, rng, sizes)
+            seq = FundamentalSequence.default(blocks, R)
+            imax = rng.randint(6, 30)
+            got = build_neighbors(rho_minus, rho_plus, blocks, seq, imax).to_json_dict()
+            want = explicit_path_report(rho_minus, rho_plus, blocks, seq, imax)
+            assert got["big_cell_ok"] == want["big_cell_ok"]
+            decays = want["big_cell_ok"]
+            for key in ("toward_lower", "toward_upper"):
+                for sym, rows in want[key].items():
+                    # rho_i - rho_minus, taken on the path, leaves a constant
+                    # rounding residue (about 1e-14) in some entries that are
+                    # exactly zero; the closed form has none
+                    rows = [e for e in rows if max(e["values"]) > 1e-12]
+                    assert [(e["row"], e["col"]) for e in got[key][sym]] == \
+                        [(e["row"], e["col"]) for e in rows]
+                    for e, w in zip(got[key][sym], rows):
+                        for v, ov in zip(e["values"], w["values"]):
+                            if ov > 1e-9:
+                                assert v == pytest.approx(ov, rel=1e-6, abs=0)
+                        nz = [v for v in w["values"] if v > 0.0]
+                        decays = decays and w["values"][-1] <= 1e-7 and \
+                            all(b < a for a, b in zip(nz, nz[1:]))
+            assert got["verdict"] == decays
+
+    def test_cost_does_not_grow_with_imax(self, monkeypatch):
+        calls = {"det": 0, "mul": 0, "conjugate_power": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Matrix, "det", counted("det", Matrix.det))
+        monkeypatch.setattr(Matrix, "__mul__", counted("mul", Matrix.__mul__))
+        monkeypatch.setattr(FundamentalSequence, "conjugate_power",
+                            counted("conjugate_power", FundamentalSequence.conjugate_power))
+        rho_minus, rho_plus, blocks = opposite_pair(F3, random.Random("cost"), (1,) * 5)
+        seq = FundamentalSequence.default(blocks, F3)
+        counts = []
+        for imax in (6, 64):
+            for key in calls:
+                calls[key] = 0
+            trace = build_neighbors(rho_minus, rho_plus, blocks, seq, imax)
+            assert trace.verified
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+
+    def test_real_tables_carry_no_cancellation(self):
+        """|m| |x|^i to rounding, where rho_i - rho_minus would lose every digit."""
+        a, b, c, d = 0.7, 0.9, 0.3, 1.1
+        rm = Representation.from_entries(R, {"a": [[a, 0], [c, d]]})
+        rp = Representation.from_entries(R, {"a": [[a, b], [0, d]]})
+        trace = build_neighbors(rm, rp, B11, FundamentalSequence.default(B11, R), 40)
+        assert trace.verified
+        expect = {"minus": {(0, 1): b, (1, 1): c * b / a},
+                  "plus": {(1, 0): c, (1, 1): c / a * b}}
+        for side, table in (("minus", trace.table_minus), ("plus", trace.table_plus)):
+            assert {(e.row, e.col) for e in table["a"]} == set(expect[side])
+            for e in table["a"]:
+                m = expect[side][(e.row, e.col)]
+                for i, v in enumerate(e.values):
+                    assert v == pytest.approx(abs(m) * 0.5 ** i, rel=1e-12, abs=0)
 
     def test_real_variant(self):
         seq = FundamentalSequence.default(B11, R)
