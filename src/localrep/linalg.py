@@ -1,8 +1,15 @@
 """Generic linear algebra over the supported scalar models.
 
-Everything here is pure and deterministic.  Over the exact fields all results
-are exact; over the reals pivoting uses the relative tolerance from
-:mod:`localrep.fields`.
+Everything here is pure and deterministic.  One elimination kernel,
+:class:`Echelon`, does all row reduction: :func:`rref` and its kernels,
+:func:`solve_linear`, ``Matrix.det`` and ``Matrix.inv`` here, and the spins,
+invariance tests and word algebras of :mod:`localrep.reptheory`.  Its pivot is
+the first entry that is not zero under ``Field.is_zero(x, scale)``, with
+``scale`` the largest |entry| given so far, so results are exact over the
+exact fields and use the relative tolerance of :mod:`localrep.fields` over R.
+Over R this gives up partial pivoting on purpose: callers read each reduced
+row's pivot as its first nonzero entry, which the largest-entry rule does
+not keep.  Only :func:`smith_padic` eliminates on its own.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from .errors import (
     SingularMatrixError,
     WrongFieldError,
 )
-from .fields import Field, INFINITY, REAL_TOLERANCE
+from .fields import Field, INFINITY
 
 
 class Matrix:
@@ -153,7 +160,11 @@ class Matrix:
         return t
 
     def det(self):
-        return _det(self.field, [list(r) for r in self.data])
+        ech = Echelon(self.field)
+        for row in self.data:
+            if not ech.insert(row):
+                return self.field.zero()
+        return ech.det()
 
     def inv(self) -> "Matrix":
         return Matrix(self.field, _inverse(self.field, self.data))
@@ -218,27 +229,116 @@ def _dot(row, col):
 
 
 # ---------------------------------------------------------------------------
-# elimination primitives (work on rectangular lists of lists)
+# the elimination kernel
 
 
-def _pivot_row(field: Field, rows, col: int, start: int, tol: float):
-    """Index of the pivot row for ``col`` searching from ``start``, or None."""
-    if field.is_real:
-        best, best_val = None, tol
-        for i in range(start, len(rows)):
-            v = abs(rows[i][col])
-            if v > best_val:
-                best, best_val = i, v
-        return best
-    for i in range(start, len(rows)):
-        if not field.is_zero(rows[i][col]):
-            return i
-    return None
+class Echelon:
+    """Row echelon form over one field, grown one vector at a time.
+
+    Each stored row is normalised at its pivot and zero at the pivots of the
+    rows stored before it.  The pivot of a vector is its first entry that is
+    not zero under ``Field.is_zero(x, scale)``, where ``scale`` is the largest
+    |entry| given so far (it matters over R only).  Over the exact fields the
+    first-nonzero rule is plain Gaussian elimination.  Over R it is also the
+    only rule that fits the callers: :func:`rref` hands out rows whose pivot
+    is their first nonzero entry, and ``reptheory`` reads coordinates and
+    adapted bases off exactly those entries.  A largest-entry pivot put
+    pivots elsewhere and broke those readings, so partial pivoting was given
+    up.  Entries below the zero test at a pivot are set to exact zeros.
+    """
+
+    __slots__ = ("field", "rows", "pivots", "raw", "scale")
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows = []      # normalised rows, in insertion order
+        self.pivots = []    # their pivot columns
+        self.raw = []       # the residuals' entries at their pivots
+        self.scale = 0.0
+
+    def reduce(self, vec) -> list:
+        """Residual of ``vec``: exactly zero at every pivot."""
+        vec = list(vec)
+        for row, piv in zip(self.rows, self.pivots):
+            self._clear(vec, row, piv)
+        return vec
+
+    def _clear(self, vec: list, row, piv: int):
+        """Subtract the multiple of ``row`` that makes ``vec[piv]`` zero, in place.
+
+        ``row`` is 1 at ``piv`` and 0 before it.  ``vec[piv]`` is set to an
+        exact zero, over R also where it was already below the zero test.
+        """
+        c = vec[piv]
+        if not self.field.is_zero(c, self.scale):
+            vec[piv + 1:] = [a - c * b for a, b in zip(vec[piv + 1:], row[piv + 1:])]
+        vec[piv] = self.field.zero()
+
+    def _pivot(self, vec):
+        f = self.field
+        for i, x in enumerate(vec):
+            if not f.is_zero(x, self.scale):
+                return i
+        return None
+
+    def contains(self, vec) -> bool:
+        return self._pivot(self.reduce(vec)) is None
+
+    def insert(self, vec) -> bool:
+        """Reduce ``vec`` and store the residual; True if it was new."""
+        f = self.field
+        if f.is_real:
+            self.scale = max(self.scale, max((abs(x) for x in vec), default=0.0))
+        res = self.reduce(vec)
+        piv = self._pivot(res)
+        if piv is None:
+            return False
+        inv = f.one() / res[piv]
+        self.rows.append([f.zero()] * piv + [f.one()] + [x * inv for x in res[piv + 1:]])
+        self.pivots.append(piv)
+        self.raw.append(res[piv])
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduced(self) -> tuple:
+        """Rows of the reduced echelon form, by pivot column.
+
+        Back-substitution: going from the last stored row to the first, each
+        row clears its pivot column in the rows stored before it.  Over R,
+        entries below the zero test are set to 0.0.
+        """
+        f = self.field
+        rows = [list(r) for r in self.rows]
+        for i in range(len(rows) - 1, 0, -1):
+            for j in range(i):
+                self._clear(rows[j], rows[i], self.pivots[i])
+        if f.is_real:
+            rows = [[0.0 if f.is_zero(x, self.scale) else x for x in r] for r in rows]
+        order = sorted(range(len(rows)), key=self.pivots.__getitem__)
+        return tuple(tuple(rows[i]) for i in order)
+
+    def det(self):
+        """Determinant of the inserted rows, when they were n independent rows of length n.
+
+        Each residual is the inserted row minus a combination of earlier
+        ones, so the residuals have the same determinant; with their columns
+        put in pivot order they are triangular with the raw pivots on the
+        diagonal.
+        """
+        p = self.pivots
+        inversions = sum(1 for i in range(len(p)) for j in range(i) if p[j] > p[i])
+        det = self.field.one()
+        for x in self.raw:
+            det = det * x
+        return -det if inversions % 2 else det
 
 
 @dataclass(frozen=True)
 class RrefResult:
-    reduced: tuple          # rows of the reduced echelon form
+    reduced: tuple          # rows of the reduced echelon form, zero rows last
     rank: int
     pivots: tuple           # pivot column indices
     kernel: tuple           # basis vectors of the right kernel
@@ -248,100 +348,46 @@ def rref(field: Field, rows) -> RrefResult:
     """Reduced row echelon form of a rectangular array over ``field``.
 
     Returns the reduced rows, the rank, the pivot columns and a basis of the
-    kernel.  Over the reals the pivot threshold is relative to the largest
-    absolute entry of the input.
+    kernel, all read off an :class:`Echelon` of the rows.
     """
-    work = [[field.coerce(x) for x in r] for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    scale = 1.0
-    if field.is_real and nrows:
-        scale = max((abs(x) for r in work for x in r), default=0.0)
-    tol = REAL_TOLERANCE * max(1.0, scale)
-
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = _pivot_row(field, work, c, r, tol if field.is_real else 0.0)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.one() / work[r][c] if not field.is_real else 1.0 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = work[i][c]
-            if field.is_zero(factor, scale):
-                continue
-            work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-
-    # clean tiny residue over the reals so downstream zero tests are stable
-    if field.is_real:
-        for i in range(nrows):
-            work[i] = [0.0 if abs(x) <= tol else x for x in work[i]]
-
-    rank = len(pivots)
-    free = [c for c in range(ncols) if c not in pivots]
+    ech = Echelon(field)
+    for r in rows:
+        ech.insert([field.coerce(x) for x in r])
+    ncols = len(rows[0]) if rows else 0
+    zero = field.zero()
+    reduced = ech.reduced()
+    pivots = tuple(sorted(ech.pivots))
     kernel = []
-    for fc in free:
-        vec = [field.zero()] * ncols
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
         vec[fc] = field.one()
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -work[ri][fc]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
         kernel.append(tuple(vec))
     return RrefResult(
-        reduced=tuple(tuple(row) for row in work),
-        rank=rank,
-        pivots=tuple(pivots),
+        reduced=reduced + ((zero,) * ncols,) * (len(rows) - ech.rank),
+        rank=ech.rank,
+        pivots=pivots,
         kernel=tuple(kernel),
     )
 
 
 def solve_linear(field: Field, rows, rhs):
-    """One solution of A x = b, or None when the system is inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    """One solution of A x = b, or None when the system is inconsistent.
+
+    A pivot in the last column of the augmented rows means that the rest of
+    its row is zero: the system is inconsistent.
+    """
     ncols = len(rows[0]) if rows else 0
-    res = rref(field, aug)
-    for row in res.reduced:
-        if all(field.is_zero(x) for x in row[:ncols]) and not field.is_zero(row[ncols]):
-            return None
+    res = rref(field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in res.pivots:
+        return None
     x = [field.zero()] * ncols
-    for ri, pc in enumerate(res.pivots):
-        if pc < ncols:
-            x[pc] = res.reduced[ri][ncols]
+    for row, pc in zip(res.reduced, res.pivots):
+        x[pc] = row[ncols]
     return tuple(x)
-
-
-def _det(field: Field, work):
-    n = len(work)
-    scale = 1.0
-    if field.is_real and n:
-        scale = max((abs(x) for r in work for x in r), default=0.0)
-    tol = REAL_TOLERANCE * max(1.0, scale)
-    det = field.one()
-    sign = 1
-    for c in range(n):
-        piv = _pivot_row(field, work, c, c, tol if field.is_real else 0.0)
-        if piv is None:
-            return field.zero()
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            sign = -sign
-        pivot = work[c][c]
-        det = det * pivot
-        for i in range(c + 1, n):
-            factor = work[i][c] / pivot
-            if field.is_zero(factor, scale):
-                continue
-            work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
-    if sign < 0:
-        det = -det
-    return det
 
 
 def _inverse(field: Field, data):
@@ -349,9 +395,9 @@ def _inverse(field: Field, data):
     one, zero = field.one(), field.zero()
     aug = [list(data[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
     res = rref(field, aug)
-    if res.rank < n or any(p >= n for p in res.pivots[:n]):
+    if res.pivots != tuple(range(n)):
         raise SingularMatrixError("matrix is singular (or below tolerance)")
-    return tuple(tuple(res.reduced[i][n:]) for i in range(n))
+    return tuple(tuple(row[n:]) for row in res.reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +410,9 @@ def smith_padic(m: Matrix):
     ``a`` is ``diag(p^e_1, ..., p^e_n)`` with ``e_1 <= ... <= e_n`` and the
     outer factors have all entries of valuation >= 0 and determinant of
     valuation 0, i.e. they are p-adic units as matrices.  Exact throughout.
+    The elimination is its own, not :class:`Echelon`'s: it is two-sided and
+    pivots on least valuation, so every multiplier stays in Z_p and the
+    outer factors stay integral.
     """
     field = m.field
     if field.kind != "padic":

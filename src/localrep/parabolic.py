@@ -22,9 +22,10 @@ min_t (v(m_t) + i v(x_t)) wherever one term attains that minimum; only the
 ties are evaluated exactly.  Over R the magnitude |sum m_t x_t^i| is taken
 directly, with no cancellation against the limit.  By block LDU the leading
 block minors of u r N_i are those of r, so the path stays in the big cell
-for every i as soon as r is invertible.  On exact fields the verdict of
-:func:`build_neighbors` is a proof of both limits (every ratio has
-valuation >= 1); on R it is the observed decay of the tabled magnitudes.
+for every i as soon as r is invertible.  Both limits always hold: every
+ratio c_q/c_p (p < q) has |x| < 1 on R and v(x) >= 1 on exact fields,
+since |c_1| > ... > |c_k|.  So the verdict of :func:`build_neighbors` is
+the big-cell test alone.
 """
 
 from __future__ import annotations
@@ -404,17 +405,11 @@ class DegenerationTrace:
     blocks: BlockStructure
     imax: int
     levi: dict                      # symbol -> Matrix, the shared projection
-    verdict_minus: bool
-    verdict_plus: bool
     table_minus: dict               # symbol -> tuple of EntryTrace
     table_plus: dict
     big_cell_ok: bool
     final: dict                     # symbol -> Matrix, rho_imax
     initial: dict                   # symbol -> Matrix, rho_0
-
-    @property
-    def verified(self) -> bool:
-        return self.verdict_minus and self.verdict_plus and self.big_cell_ok
 
     def to_json_dict(self) -> dict:
         def table(t):
@@ -433,7 +428,7 @@ class DegenerationTrace:
         return {
             "blocks": list(self.blocks.sizes),
             "imax": self.imax,
-            "verdict": self.verified,
+            "verdict": self.big_cell_ok,
             "toward_lower": table(self.table_minus),
             "toward_upper": table(self.table_plus),
             "big_cell_ok": self.big_cell_ok,
@@ -511,25 +506,6 @@ def _difference_table(field: Field, terms, imax: int, scale: float):
     return tuple(traces)
 
 
-def _converges(field: Field, terms, table) -> bool:
-    """Does every entry of the difference tend to zero?
-
-    Exact fields: the valuation of an entry is at least its lower envelope
-    min_t (v(m_t) + i v(x_t)), which rises by at least one per step when
-    every ratio has v(x_t) >= 1.  Real field: each tabled magnitude is
-    strictly decreasing once nonzero and at most 10 REAL_LIMIT_TOLERANCE at
-    the last step.
-    """
-    if not field.is_real:
-        return all(field.valuation(x) >= 1 for _, _, ts in terms for _, x in ts)
-    for e in table:
-        nz = [v for v in e.values if v > 0.0]
-        if nz and (e.values[-1] > REAL_LIMIT_TOLERANCE * 10 or
-                   any(b >= a for a, b in zip(nz, nz[1:]))):
-            return False
-    return True
-
-
 def _leading_minors_nonzero(r: Matrix, blocks: BlockStructure) -> bool:
     """Are the leading principal minors of r at the block boundaries nonzero?"""
     f = r.field
@@ -559,13 +535,13 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
     magnitude (R) of each entry of these sums, read off the closed form.  In
     one entry the ratios x are distinct, since |c| strictly decreases.
 
-    ``verdict`` certifies, on exact fields, that every term's ratio has
-    valuation at least one, so each entry's valuation grows at least linearly
-    and both limits hold exactly; on R, that every tabled magnitude decays
-    strictly and ends below 10 REAL_LIMIT_TOLERANCE.  ``big_cell_ok`` uses
-    block LDU: the leading block minors of u r N_i are those of r for every
-    i.  On exact fields inverting r has already shown them nonzero; on R
-    they are tested once against the tolerance.
+    Both limits hold for every such pair: :class:`FundamentalSequence`
+    enforces |c_1| > ... > |c_k|, so every ratio has |x| < 1 on R and
+    valuation at least one on exact fields.  The verdict is therefore
+    ``big_cell_ok``, which uses block LDU: the leading block minors of
+    u r N_i are those of r for every i.  On exact fields inverting r has
+    already shown them nonzero; on R they are tested once against the
+    tolerance.
     """
     f = rho_minus.field
     if rho_plus.field != f or rho_plus.n != rho_minus.n:
@@ -592,7 +568,6 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
     big_cell_ok = not f.is_real or all(_leading_minors_nonzero(rs[s], blocks) for s in symbols)
     initial, final = {}, {}
     table_minus, table_plus = {}, {}
-    verdict_minus = verdict_plus = True
     for s in symbols:
         gm, gp = rho_minus.gens[s], rho_plus.gens[s]
         initial[s] = gm * ns[s]
@@ -602,14 +577,10 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
         sc = initial[s].entry_scale()
         table_minus[s] = _difference_table(f, lower, imax, max(sc, gm.entry_scale()))
         table_plus[s] = _difference_table(f, upper, imax, max(sc, gp.entry_scale()))
-        verdict_minus = verdict_minus and _converges(f, lower, table_minus[s])
-        verdict_plus = verdict_plus and _converges(f, upper, table_plus[s])
     return DegenerationTrace(
         blocks=blocks,
         imax=imax,
         levi=rs,
-        verdict_minus=verdict_minus,
-        verdict_plus=verdict_plus,
         table_minus=table_minus,
         table_plus=table_plus,
         big_cell_ok=big_cell_ok,

@@ -29,8 +29,8 @@ from .errors import (
     NotInvariantError,
     SingularMatrixError,
 )
-from .fields import Field, FpPoly, FpRat, REAL_TOLERANCE
-from .linalg import Matrix, rref, solve_linear
+from .fields import Field, FpPoly, FpRat
+from .linalg import Echelon, Matrix, rref, solve_linear
 
 PROBE_SEED = 0x5EED
 INTERTWINER_RANDOM_TRIALS = 64
@@ -156,12 +156,6 @@ class InvariantFlag:
                             return False
         return True
 
-    def prefix_subspace(self, steps: int) -> tuple:
-        """Canonical row basis of the invariant subspace after ``steps`` blocks."""
-        k = sum(self.block_sizes[:steps])
-        cols = [self.basis_change.column(j) for j in range(k)]
-        return _canonical_rows(self.basis_change.field, cols)
-
 
 @dataclass(frozen=True)
 class Semisimplification:
@@ -178,75 +172,10 @@ def _boundaries(sizes) -> tuple:
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# incremental span with exact (or tolerance) membership
-
-
-class _Span:
-    __slots__ = ("field", "dim", "rows", "scale")
-
-    def __init__(self, field: Field, ambient: int):
-        self.field = field
-        self.dim = ambient
-        self.rows = []  # list of (vector, pivot index), forward-eliminated
-        self.scale = 1.0
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for row, piv in self.rows:
-            c = vec[piv]
-            if not self.field.is_zero(c, self.scale):
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    def _pivot(self, vec):
-        f = self.field
-        if f.is_real:
-            best, best_val = None, REAL_TOLERANCE * max(1.0, self.scale)
-            for i, x in enumerate(vec):
-                if abs(x) > best_val:
-                    best, best_val = i, abs(x)
-            return best
-        for i, x in enumerate(vec):
-            if not f.is_zero(x):
-                return i
-        return None
-
-    def insert(self, vec) -> bool:
-        """Reduce ``vec`` and insert the residual; True if it was new."""
-        if self.field.is_real:
-            self.scale = max(self.scale, max((abs(x) for x in vec), default=0.0))
-        res = self.reduce(vec)
-        piv = self._pivot(res)
-        if piv is None:
-            return False
-        inv = (1.0 / res[piv]) if self.field.is_real else (self.field.one() / res[piv])
-        res = [x * inv for x in res]
-        self.rows.append((res, piv))
-        return True
-
-    def contains(self, vec) -> bool:
-        return self._pivot(self.reduce(vec)) is None
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def basis_rows(self) -> tuple:
-        return tuple(tuple(r) for r, _ in self.rows)
-
-
 def _canonical_rows(field: Field, rows) -> tuple:
     """Deterministic RREF basis of the row span, zero rows dropped."""
-    if not rows:
-        return ()
     res = rref(field, rows)
-    out = []
-    sc = max((abs(x) for r in rows for x in r), default=0.0) if field.is_real else 1.0
-    for row in res.reduced:
-        if any(not field.is_zero(x, sc) for x in row):
-            out.append(tuple(row))
-    return tuple(out)
+    return res.reduced[:res.rank]
 
 
 def spin(rho: Representation, vec) -> tuple:
@@ -259,7 +188,7 @@ def spin(rho: Representation, vec) -> tuple:
     if all(rho.field.is_zero(x) for x in vec):
         raise ValueError("spin needs a nonzero vector")
     mats = list(rho.gens.values()) + list(rho.inverses().values())
-    span = _Span(rho.field, rho.n)
+    span = Echelon(rho.field)
     span.insert(vec)
     queue = [vec]
     while queue and span.rank < rho.n:
@@ -270,11 +199,11 @@ def spin(rho: Representation, vec) -> tuple:
                 queue.append(w)
             if span.rank == rho.n:
                 break
-    return _canonical_rows(rho.field, span.basis_rows())
+    return span.reduced()
 
 
 def _is_invariant(rho: Representation, rows) -> bool:
-    span = _Span(rho.field, rho.n)
+    span = Echelon(rho.field)
     for r in rows:
         span.insert(r)
     for m in rho.gens.values():
@@ -377,10 +306,12 @@ def _probe_vectors(rho: Representation):
     return probes
 
 
-def _annihilator(field: Field, rows) -> tuple:
-    """Row basis of the space annihilated by every functional in ``rows``."""
-    res = rref(field, rows)
-    return _canonical_rows(field, res.kernel) if res.kernel else ()
+def _kernel_rows(field: Field, rows) -> tuple:
+    """Canonical row basis of the right kernel of ``rows``.
+
+    For functionals, the space they all annihilate.
+    """
+    return _canonical_rows(field, rref(field, rows).kernel)
 
 
 def _intersect_row_spans(field: Field, rows1, rows2) -> tuple:
@@ -406,7 +337,7 @@ def word_algebra_basis(rho: Representation, cap: int | None = None):
     """Echelon basis of the span of all word images inside n x n matrices."""
     n = rho.n
     cap = n * n if cap is None else cap
-    span = _Span(rho.field, n * n)
+    span = Echelon(rho.field)
     basis = []
     queue = []
     seeds = [Matrix.identity(rho.field, n)] + list(rho.gens.values()) + list(rho.inverses().values())
@@ -438,11 +369,6 @@ def _is_scalar(field: Field, m: Matrix) -> bool:
             if not field.eq(m.data[i][j], target, sc):
                 return False
     return True
-
-
-def _kernel_rows(field: Field, m: Matrix) -> tuple:
-    res = rref(field, m.data)
-    return _canonical_rows(field, res.kernel) if res.kernel else ()
 
 
 def _poly_value(coeffs, x):
@@ -587,7 +513,6 @@ def _battery(rho: Representation):
     found = []
 
     def check(rows, collect: bool = True):
-        rows = _canonical_rows(field, rows)
         if not rows or len(rows) >= n:
             return None
         if any(rows == f for f in found):
@@ -607,7 +532,7 @@ def _battery(rho: Representation):
     for v in probes:
         urows = spin(dual, v)
         if 0 < len(urows) < n:
-            got = check(_annihilator(field, urows))
+            got = check(_kernel_rows(field, urows))
             if got:
                 yield got
     for w1, w2 in itertools.combinations(list(found), 2):
@@ -638,7 +563,7 @@ def _battery(rho: Representation):
         nonscalar = [c for c in comm if not _is_scalar(field, c)]
         for c in nonscalar:
             if field.is_zero(c.det(), c.entry_scale()):
-                got = check(_kernel_rows(field, c))
+                got = check(_kernel_rows(field, c.data))
                 if got:
                     yield got
         if field.kind == "padic":
@@ -646,7 +571,7 @@ def _battery(rho: Representation):
                 for lam in _rational_eigenvalues(c):
                     shifted = c - Matrix.identity(field, n).scale(lam)
                     if field.is_zero(shifted.det()):
-                        got = check(_kernel_rows(field, shifted))
+                        got = check(_kernel_rows(field, shifted.data))
                         if got:
                             yield got
         grid_basis = nonscalar[:4]
@@ -660,7 +585,7 @@ def _battery(rho: Representation):
                 if _is_scalar(field, cand):
                     continue
                 if field.is_zero(cand.det(), cand.entry_scale()):
-                    got = check(_kernel_rows(field, cand))
+                    got = check(_kernel_rows(field, cand.data))
                     if got:
                         yield got
 
@@ -688,6 +613,25 @@ def is_nonparabolic(rho: Representation):
     return True, None
 
 
+def _sylvester_rows(field: Field, pairs, p: int, q: int) -> list:
+    """Rows of the linear map X -> L X - X R, one block per (L, R) in ``pairs``.
+
+    X is p x q and flattened row by row; the rows run over the pairs, then
+    over the entries (i, j) of L X - X R in row-major order.
+    """
+    rows = []
+    for left, right in pairs:
+        for i in range(p):
+            for j in range(q):
+                row = [field.zero()] * (p * q)
+                for l in range(p):
+                    row[l * q + j] = row[l * q + j] + left[i][l]
+                for m in range(q):
+                    row[i * q + m] = row[i * q + m] - right[m][j]
+                rows.append(row)
+    return rows
+
+
 def has_invariant_complement(rho: Representation, rows):
     """Feasibility of an equivariant projector onto the invariant ``rows``.
 
@@ -705,27 +649,14 @@ def has_invariant_complement(rho: Representation, rows):
         return True, Matrix.identity(field, n) if k == n else Matrix.zeros(field, n)
     basis = _adapted_basis_matrix(field, rows, n)
     binv = basis.inv()
-    blocks = []
-    for m in rho.gens.values():
-        t = binv * m * basis
-        a = [[t.data[i][j] for j in range(k)] for i in range(k)]
-        b = [[t.data[i][j] for j in range(k, n)] for i in range(k)]
-        d = [[t.data[i][j] for j in range(k, n)] for i in range(k, n)]
-        blocks.append((a, b, d))
     # unknown X (k x (n-k)) with A X - X D = B for every generator
     q = n - k
-    sys_rows, rhs = [], []
-    for a, b, d in blocks:
-        for i in range(k):
-            for j in range(q):
-                row = [field.zero()] * (k * q)
-                for l in range(k):
-                    row[l * q + j] = row[l * q + j] + a[i][l]
-                for m2 in range(q):
-                    row[i * q + m2] = row[i * q + m2] - d[m2][j]
-                sys_rows.append(row)
-                rhs.append(b[i][j])
-    sol = solve_linear(field, sys_rows, rhs)
+    pairs, rhs = [], []
+    for m in rho.gens.values():
+        t = binv * m * basis
+        pairs.append(([row[:k] for row in t.data[:k]], [row[k:] for row in t.data[k:]]))
+        rhs.extend(x for row in t.data[:k] for x in row[k:])
+    sol = solve_linear(field, _sylvester_rows(field, pairs, k, q), rhs)
     if sol is None:
         return False, None
     # projector in the adapted basis: [[I, X], [0, 0]]
@@ -749,18 +680,18 @@ def is_cr(rho: Representation) -> bool:
     """Complete reducibility: the module splits as a direct sum of irreducibles.
 
     Recursive splitting test: an irreducible module is completely reducible;
-    otherwise a certified invariant subspace must admit an invariant
-    complement and both halves must again pass.  Characteristic-free.
+    otherwise the first certified invariant subspace, the certificate of
+    :func:`is_nonparabolic`, must admit an invariant complement and both
+    halves must again pass.  Characteristic-free.
     """
-    irreducible, flag = is_nonparabolic(rho)
-    if irreducible:
+    rows = next(invariant_subspace_candidates(rho), None) if rho.n > 1 else None
+    if rows is None:
         return True
-    rows = flag.prefix_subspace(1)
     ok, proj = has_invariant_complement(rho, rows)
     if not ok:
         return False
     sub = rho.restriction(rows)
-    comp = rho.restriction(_kernel_rows(rho.field, proj))
+    comp = rho.restriction(_kernel_rows(rho.field, proj.data))
     return is_cr(sub) and is_cr(comp)
 
 
@@ -976,18 +907,8 @@ def intertwiner_space(r1: Representation, r2: Representation):
     """Basis of matrices M with M r1(s) = r2(s) M for every generator."""
     field = r1.field
     n = r1.n
-    rows = []
-    for s in r1.symbols:
-        m1, m2 = r1.gens[s], r2.gens[s]
-        for i in range(n):
-            for j in range(n):
-                row = [field.zero()] * (n * n)
-                for l in range(n):
-                    row[i * n + l] = row[i * n + l] + m1.data[l][j]
-                for kk in range(n):
-                    row[kk * n + j] = row[kk * n + j] - m2.data[i][kk]
-                rows.append(row)
-    res = rref(field, rows)
+    pairs = [(r2.gens[s].data, r1.gens[s].data) for s in r1.symbols]
+    res = rref(field, _sylvester_rows(field, pairs, n, n))
     return [
         Matrix(field, tuple(tuple(vec[i * n + j] for j in range(n)) for i in range(n)))
         for vec in res.kernel

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localrep import Field, Matrix, rref, smith_padic
 from localrep.errors import SingularMatrixError, WrongFieldError
-from localrep.linalg import elementary_divisor_valuations, solve_linear
+from localrep.fields import REAL_TOLERANCE
+from localrep.linalg import RrefResult, elementary_divisor_valuations, solve_linear
 
 Q5 = Field.padic(5)
 F3 = Field.funcfield(3)
@@ -76,11 +79,244 @@ class TestRref:
     def test_real_tolerance(self):
         res = rref(R, [[1.0, 1.0], [1.0, 1.0 + 1e-12]])
         assert res.rank == 1  # below relative pivot tolerance
+        # an entry below the zero test comes out as an exact zero
+        assert rref(R, [[2.0, 2e-13, 4.0]]).reduced == ((1.0, 0.0, 2.0),)
 
     def test_solve_linear(self):
         sol = solve_linear(Q5, [[1, 1], [1, -1]], [Fraction(2), Fraction(0)])
         assert sol == (Fraction(1), Fraction(1))
         assert solve_linear(Q5, [[1, 1], [1, 1]], [Fraction(0), Fraction(1)]) is None
+
+
+# ---------------------------------------------------------------------------
+# reference elimination: Gauss-Jordan with column partial pivoting over R, as
+# linalg had it before the Echelon kernel
+
+
+def _pivot_row(field, rows, col: int, start: int, tol: float):
+    """Index of the pivot row for ``col`` searching from ``start``, or None."""
+    if field.is_real:
+        best, best_val = None, tol
+        for i in range(start, len(rows)):
+            v = abs(rows[i][col])
+            if v > best_val:
+                best, best_val = i, v
+        return best
+    for i in range(start, len(rows)):
+        if not field.is_zero(rows[i][col]):
+            return i
+    return None
+
+
+def reference_rref(field, rows) -> RrefResult:
+    work = [[field.coerce(x) for x in r] for r in rows]
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    scale = 1.0
+    if field.is_real and nrows:
+        scale = max((abs(x) for r in work for x in r), default=0.0)
+    tol = REAL_TOLERANCE * max(1.0, scale)
+
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        piv = _pivot_row(field, work, c, r, tol if field.is_real else 0.0)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = field.one() / work[r][c] if not field.is_real else 1.0 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i == r:
+                continue
+            factor = work[i][c]
+            if field.is_zero(factor, scale):
+                continue
+            work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+
+    # clean tiny residue over the reals so downstream zero tests are stable
+    if field.is_real:
+        for i in range(nrows):
+            work[i] = [0.0 if abs(x) <= tol else x for x in work[i]]
+
+    rank = len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    kernel = []
+    for fc in free:
+        vec = [field.zero()] * ncols
+        vec[fc] = field.one()
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -work[ri][fc]
+        kernel.append(tuple(vec))
+    return RrefResult(
+        reduced=tuple(tuple(row) for row in work),
+        rank=rank,
+        pivots=tuple(pivots),
+        kernel=tuple(kernel),
+    )
+
+
+def reference_solve(field, rows, rhs):
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    res = reference_rref(field, aug)
+    for row in res.reduced:
+        if all(field.is_zero(x) for x in row[:ncols]) and not field.is_zero(row[ncols]):
+            return None
+    x = [field.zero()] * ncols
+    for ri, pc in enumerate(res.pivots):
+        if pc < ncols:
+            x[pc] = res.reduced[ri][ncols]
+    return tuple(x)
+
+
+def reference_det(field, work):
+    n = len(work)
+    scale = 1.0
+    if field.is_real and n:
+        scale = max((abs(x) for r in work for x in r), default=0.0)
+    tol = REAL_TOLERANCE * max(1.0, scale)
+    det = field.one()
+    sign = 1
+    for c in range(n):
+        piv = _pivot_row(field, work, c, c, tol if field.is_real else 0.0)
+        if piv is None:
+            return field.zero()
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            sign = -sign
+        pivot = work[c][c]
+        det = det * pivot
+        for i in range(c + 1, n):
+            factor = work[i][c] / pivot
+            if field.is_zero(factor, scale):
+                continue
+            work[i] = [a - factor * b for a, b in zip(work[i], work[c])]
+    if sign < 0:
+        det = -det
+    return det
+
+
+def reference_inverse(field, data):
+    n = len(data)
+    one, zero = field.one(), field.zero()
+    aug = [list(data[i]) + [one if j == i else zero for j in range(n)] for i in range(n)]
+    res = reference_rref(field, aug)
+    if res.rank < n or any(p >= n for p in res.pivots[:n]):
+        raise SingularMatrixError("matrix is singular (or below tolerance)")
+    return tuple(tuple(res.reduced[i][n:]) for i in range(n))
+
+
+F3_ENTRIES = ("0", "1", "2", "T", "T+1", "2*T", "T^2+2", "1/T", "T+1/T+2")
+
+
+def entries(field):
+    if field.kind == "funcfield":
+        return st.sampled_from(F3_ENTRIES).map(field.coerce)
+    return st.integers(-4, 4).map(field.coerce)
+
+
+@st.composite
+def arrays(draw, field, square=False):
+    """Rectangular (or square) arrays, rank-deficient about half the time.
+
+    A rank-deficient array is a product of a rows x k and a k x cols array
+    with k below both sizes; over R the entries are integers.
+    """
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    entry = entries(field)
+    k = draw(st.integers(0, min(nrows, ncols)))
+    if k == min(nrows, ncols) or draw(st.booleans()):
+        return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    left = [[draw(entry) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(entry) for _ in range(ncols)] for _ in range(k)]
+    return [[sum((left[i][t] * right[t][j] for t in range(k)), start=field.zero())
+             for j in range(ncols)] for i in range(nrows)]
+
+
+def _close(a, b) -> bool:
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+def _all_close(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(
+        _close(a, b) for x, y in zip(xs, ys) for a, b in zip(x, y))
+
+
+def _inverse_or_none(inverse):
+    try:
+        return inverse()
+    except SingularMatrixError:
+        return None
+
+
+EXACT = pytest.mark.parametrize("field", [Q5, F3], ids=["Q5", "F3T"])
+ORACLE_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+class TestKernelAgainstGaussJordan:
+    """The Echelon kernel against the Gauss-Jordan reference above."""
+
+    @EXACT
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_exact_rref_and_solve(self, field, data):
+        rows = data.draw(arrays(field))
+        assert rref(field, rows) == reference_rref(field, rows)
+        rhs = [data.draw(entries(field)) for _ in rows]
+        assert solve_linear(field, rows, rhs) == reference_solve(field, rows, rhs)
+
+    @EXACT
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_exact_det_and_inverse(self, field, data):
+        rows = data.draw(arrays(field, square=True))
+        m = Matrix(field, tuple(tuple(r) for r in rows))
+        det = m.det()
+        assert det == reference_det(field, [list(r) for r in rows])
+        want = _inverse_or_none(lambda: reference_inverse(field, m.data))
+        got = _inverse_or_none(lambda: m.inv().data)
+        assert got == want
+        assert (got is None) == field.is_zero(det)
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_real_integer_arrays(self, data):
+        rows = data.draw(arrays(R))
+        got, want = rref(R, rows), reference_rref(R, rows)
+        assert (got.rank, got.pivots) == (want.rank, want.pivots)
+        assert _all_close(got.reduced, want.reduced)
+        assert _all_close(got.kernel, want.kernel)
+        rhs = [data.draw(entries(R)) for _ in rows]
+        sol, ref = solve_linear(R, rows, rhs), reference_solve(R, rows, rhs)
+        assert (sol is None) == (ref is None)
+        if sol is not None:
+            assert _all_close([sol], [ref])
+
+    @ORACLE_SETTINGS
+    @given(data=st.data())
+    def test_real_det_and_inverse(self, data):
+        rows = data.draw(arrays(R, square=True))
+        m = Matrix(R, tuple(tuple(r) for r in rows))
+        assert _close(m.det(), reference_det(R, [list(r) for r in rows]))
+        want = _inverse_or_none(lambda: reference_inverse(R, m.data))
+        got = _inverse_or_none(lambda: m.inv().data)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert _all_close(got, want)
+
+    @pytest.mark.parametrize("field", [Q5, F3, R], ids=["Q5", "F3T", "R"])
+    def test_singular_inverse_raises_and_inconsistent_solve_is_none(self, field):
+        with pytest.raises(SingularMatrixError):
+            Matrix.from_rows(field, [[1, 2, 0], [2, 4, 0], [0, 1, 1]]).inv()
+        rows = [[field.coerce(x) for x in r] for r in ([1, 2], [2, 4])]
+        assert solve_linear(field, rows, [field.one(), field.zero()]) is None
+        assert solve_linear(field, rows, [field.one(), field.coerce(2)]) is not None
 
 
 class TestInvert:

@@ -73,7 +73,7 @@ class TestSamePoint:
         rho_minus = rep(Q5, {"a": [[2, 0], [1, 3]]})
         rho_plus = rep(Q5, {"a": [[2, 1], [0, 3]]})
         trace = build_neighbors(rho_minus, rho_plus, blocks, seq, 6)
-        assert trace.verified
+        assert trace.big_cell_ok
         assert same_point_in_Xcr(rho_minus, rho_plus) is True
 
     def test_projection_is_conjugation_invariant(self):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from localrep import (
     has_invariant_complement,
     is_cr,
     is_nonparabolic,
+    rref,
     semisimplify,
     spin,
     trace_fingerprint,
@@ -58,6 +60,34 @@ class TestSpin:
         rho = rep(Q5, {"a": [[0, 1], [1, 0]]})
         rows = spin(rho, (1, 1))
         assert len(rows) == 1 and rows[0][0] == rows[0][1]
+
+
+class TestCandidatesArriveCanonical:
+    """The battery takes its layers' rows as they come, without reducing them
+    again, so every layer must hand over canonical rows."""
+
+    @staticmethod
+    def _corpus(exact_corpus, real_corpus, floor_corpus):
+        yield from ((e.name, e.rep) for e in exact_corpus + real_corpus)
+        yield from floor_corpus
+
+    def test_spins_and_candidates(self, exact_corpus, real_corpus, floor_corpus):
+        fields = set()
+        for name, rho in self._corpus(exact_corpus, real_corpus, floor_corpus):
+            field = rho.field
+            fields.add(field.kind)
+            for bits in itertools.product((0, 1), repeat=rho.n):
+                if not any(bits):
+                    continue
+                rows = spin(rho, tuple(field.coerce(b) for b in bits))
+                assert rows == reptheory._canonical_rows(field, rows), name
+            for rows in invariant_subspace_candidates(rho):
+                assert 0 < len(rows) < rho.n, name
+                assert rows == reptheory._canonical_rows(field, rows), name
+                for m in rho.gens.values():
+                    images = [m.apply(r) for r in rows]
+                    assert rref(field, list(rows) + images).rank == len(rows), name
+        assert fields == {"real", "padic", "funcfield"}
 
 
 class TestNonparabolic:
