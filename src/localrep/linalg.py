@@ -242,9 +242,10 @@ class Echelon:
     first-nonzero rule is plain Gaussian elimination.  Over R it is also the
     only rule that fits the callers: :func:`rref` hands out rows whose pivot
     is their first nonzero entry, and ``reptheory`` reads coordinates and
-    adapted bases off exactly those entries.  A largest-entry pivot put
-    pivots elsewhere and broke those readings, so partial pivoting was given
-    up.  Entries below the zero test at a pivot are set to exact zeros.
+    adapted bases off exactly those entries.  Under a largest-entry pivot
+    rows no longer start at their pivot and those readings break, so partial
+    pivoting was given up.  Entries below the zero test at a pivot are set
+    to exact zeros.
     """
 
     __slots__ = ("field", "rows", "pivots", "raw", "scale")
@@ -321,7 +322,7 @@ class Echelon:
         return tuple(tuple(rows[i]) for i in order)
 
     def det(self):
-        """Determinant of the inserted rows, when they were n independent rows of length n.
+        """Determinant of the inserted rows: n independent rows of length n.
 
         Each residual is the inserted row minus a combination of earlier
         ones, so the residuals have the same determinant; with their columns
