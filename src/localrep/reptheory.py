@@ -7,6 +7,11 @@ reducibility (the module is a direct sum of irreducibles), computes a full
 composition series and the associated semisimplification, and tests
 simultaneous conjugacy of semisimple tuples.
 
+All three module-structure decisions read one thing: the first invariant
+subspace the search certifies, built once per tuple and probe seed.  The
+composition series splits there and refines both ends, so it needs no
+minimal subspace.
+
 Every negative verdict is certified: routines that report a reducible module
 return an invariant flag whose invariance is re-verified exactly before it is
 handed out.
@@ -52,7 +57,7 @@ def probe_seed(seed: int):
 class Representation:
     """A finite tuple of invertible n x n matrices over one field."""
 
-    __slots__ = ("field", "n", "gens", "_inverses", "_battery_walks", "_derived")
+    __slots__ = ("field", "n", "gens", "_inverses", "_derived")
 
     def __init__(self, field: Field, gens: dict):
         if not gens:
@@ -75,9 +80,8 @@ class Representation:
         self.n = n
         self.gens = mats
         self._inverses = None
-        # probe seed -> [candidates found, live battery or None once exhausted]
-        self._battery_walks = {}
-        # "algebra", ("restriction", rows) or ("quotient", rows) -> built value
+        # "algebra", ("first", seed), ("restriction", rows) or ("quotient", rows)
+        # -> built value
         self._derived = {}
 
     @classmethod
@@ -314,25 +318,6 @@ def _kernel_rows(field: Field, rows) -> tuple:
     return _canonical_rows(field, rref(field, rows).kernel)
 
 
-def _intersect_row_spans(field: Field, rows1, rows2) -> tuple:
-    n = len(rows1[0])
-    k1, k2 = len(rows1), len(rows2)
-    # columns are the stacked transposed bases; kernel gives the coefficients
-    stacked = [
-        tuple(rows1[a][i] for a in range(k1)) + tuple(-rows2[b][i] for b in range(k2))
-        for i in range(n)
-    ]
-    res = rref(field, stacked)
-    vecs = []
-    for coeffs in res.kernel:
-        vec = [field.zero()] * n
-        for a in range(k1):
-            c = coeffs[a]
-            vec = [x + c * y for x, y in zip(vec, rows1[a])]
-        vecs.append(tuple(vec))
-    return _canonical_rows(field, vecs)
-
-
 def word_algebra_basis(rho: Representation, cap: int | None = None):
     """Echelon basis of the span of all word images inside n x n matrices."""
     n = rho.n
@@ -459,68 +444,26 @@ def _rational_eigenvalues(m: Matrix):
 def invariant_subspace_candidates(rho: Representation):
     """Yield verified proper nonzero invariant subspaces, cheapest first.
 
-    A lazy, memoised walk of :func:`_battery`.  The candidates found so far
-    are kept on ``rho``, one list per probe seed; every walk yields them in
-    the battery's order, and the live battery is advanced only when a walk
-    asks for more.  So :func:`is_nonparabolic`, :func:`is_cr` and
-    :func:`composition_series` on one ``rho`` pay for each layer once.  A
-    battery that raises is dropped, never taken for an exhausted one: that
-    would make a reducible tuple read as irreducible.
-    """
-    seed = _active_seed.get()
-    walks = rho._battery_walks
-    i = 0
-    while True:
-        memo = walks.get(seed)
-        if memo is None:
-            memo = walks[seed] = [[], _battery(rho)]
-        found, live = memo
-        if i < len(found):
-            yield found[i]
-            i += 1
-            continue
-        if live is None:
-            return
-        try:
-            with probe_seed(seed):
-                found.append(next(live))
-        except StopIteration:
-            memo[1] = None
-            return
-        except BaseException:
-            if walks.get(seed) is memo:
-                del walks[seed]
-            raise
-
-
-def _battery(rho: Representation):
-    """The search behind :func:`invariant_subspace_candidates`, run afresh.
-
     Layers: spins of standard and seeded probe vectors, the same for the
-    dual action (annihilators), pairwise intersections, the subspace moved
-    by the trace-form radical of the word algebra, and kernels of singular
-    non-scalar elements of the commutant.  Every candidate is re-verified
-    before being yielded; unsound intermediate heuristics therefore cannot
-    leak wrong answers.  A tuple whose word algebra is already built and
-    spans all n x n matrices is absolutely irreducible (Burnside), so the
-    walk yields nothing at once.
+    dual action (annihilators), the subspace moved by the trace-form radical
+    of the word algebra, and kernels of singular non-scalar elements of the
+    commutant.  Every candidate is re-verified before being yielded, so
+    unsound intermediate heuristics cannot leak wrong answers.  Nothing is
+    remembered between walks and nothing is deduplicated: a walk can yield
+    one subspace more than once.  The decisions read only the first
+    candidate (:func:`_first_invariant_subspace`).  A tuple whose word
+    algebra is already built and spans all n x n matrices is absolutely
+    irreducible (Burnside), so the walk yields nothing at once.
     """
     field = rho.field
     n = rho.n
     algebra = rho._derived.get("algebra")
     if algebra is not None and len(algebra) == n * n:
         return
-    found = []
 
-    def check(rows, collect: bool = True):
-        if not rows or len(rows) >= n:
+    def check(rows):
+        if not rows or len(rows) >= n or not _is_invariant(rho, rows):
             return None
-        if any(rows == f for f in found):
-            return None
-        if not _is_invariant(rho, rows):
-            return None
-        if collect:
-            found.append(rows)
         return rows
 
     probes = _probe_vectors(rho)
@@ -533,12 +476,6 @@ def _battery(rho: Representation):
         urows = spin(dual, v)
         if 0 < len(urows) < n:
             got = check(_kernel_rows(field, urows))
-            if got:
-                yield got
-    for w1, w2 in itertools.combinations(list(found), 2):
-        inter = _intersect_row_spans(field, w1, w2)
-        if inter:
-            got = check(inter)
             if got:
                 yield got
 
@@ -590,6 +527,20 @@ def _battery(rho: Representation):
                         yield got
 
 
+def _first_invariant_subspace(rho: Representation):
+    """The first candidate of :func:`invariant_subspace_candidates`, or None.
+
+    Built once per tuple and probe seed, and the only thing the decisions
+    below read.  A battery that raises caches nothing, so a failure is
+    never taken for an empty battery, which would make a reducible tuple
+    read as irreducible.
+    """
+    if rho.n == 1:
+        return None
+    return rho._derive(("first", _active_seed.get()),
+                       lambda: next(invariant_subspace_candidates(rho), None))
+
+
 def _single_step_flag(rho: Representation, rows) -> InvariantFlag:
     basis = _adapted_basis_matrix(rho.field, rows, rho.n)
     return InvariantFlag(basis_change=basis, block_sizes=(len(rows), rho.n - len(rows)))
@@ -600,17 +551,16 @@ def is_nonparabolic(rho: Representation):
 
     Returns ``(True, None)`` when no proper nonzero invariant subspace
     exists, otherwise ``(False, flag)`` with a verified single-step invariant
-    flag as certificate: the first candidate of
-    :func:`invariant_subspace_candidates`.  "Irreducible" means that the
-    whole battery came up empty; the battery skips its layers only for a
-    tuple whose word algebra was already built and found to span all n x n
+    flag as certificate: the first certified subspace,
+    :func:`_first_invariant_subspace`.  "Irreducible" means that the whole
+    battery came up empty; the battery skips its layers only for a tuple
+    whose word algebra was already built and found to span all n x n
     matrices.
     """
-    if rho.n == 1:
+    rows = _first_invariant_subspace(rho)
+    if rows is None:
         return True, None
-    for rows in invariant_subspace_candidates(rho):
-        return False, _single_step_flag(rho, rows)
-    return True, None
+    return False, _single_step_flag(rho, rows)
 
 
 def _sylvester_rows(field: Field, pairs, p: int, q: int) -> list:
@@ -684,7 +634,7 @@ def is_cr(rho: Representation) -> bool:
     :func:`is_nonparabolic`, must admit an invariant complement and both
     halves must again pass.  Characteristic-free.
     """
-    rows = next(invariant_subspace_candidates(rho), None) if rho.n > 1 else None
+    rows = _first_invariant_subspace(rho)
     if rows is None:
         return True
     ok, proj = has_invariant_complement(rho, rows)
@@ -695,96 +645,31 @@ def is_cr(rho: Representation) -> bool:
     return is_cr(sub) and is_cr(comp)
 
 
-def _absolutely_irreducible(rho: Representation) -> bool:
-    """Burnside: the words span all n x n matrices."""
-    return len(rho.word_algebra()) == rho.n * rho.n
-
-
-def _dimension_floor(rho: Representation, rows) -> int:
-    """A proven lower bound on the dimension of every invariant subspace.
-
-    ``rows`` spans an invariant subspace W of dimension k; let q = n - k.
-    When W and V/W are both absolutely irreducible, every simple submodule
-    of V is W itself or, meeting W in 0, maps onto V/W and is a complement
-    of W.  The bound is then k, or q when q < k and W has an invariant
-    complement.  In every other case it is 1.  The complement test runs
-    first: it is one small linear system, and when it succeeds with q = 1
-    the bound is 1 whatever the word algebras are.
-    """
-    k = len(rows)
-    q = rho.n - k
-    if k == 1:
-        return 1
-    split = q < k and has_invariant_complement(rho, rows)[0]
-    if split and q == 1:
-        return 1
-    if not (_absolutely_irreducible(rho.restriction(rows))
-            and _absolutely_irreducible(rho.quotient(rows)[0])):
-        return 1
-    return q if split else k
-
-
-def _minimal_invariant_subspace(rho: Representation):
-    """A minimal invariant subspace, or None when the action is irreducible.
-
-    ``best`` is the first candidate of least dimension in the battery's
-    order.  The walk stops once ``best`` reaches the floor of
-    :func:`_dimension_floor`: the battery yields only verified invariant
-    subspaces, none of which lies below the floor, so the strict ``<``
-    would keep ``best`` over every later candidate, and the full walk
-    would pick the same subspace.  Minimality is then enforced by recursing
-    into the restriction until the battery finds nothing further.
-    """
-    best = None
-    for rows in invariant_subspace_candidates(rho):
-        if best is None or len(rows) < len(best):
-            best = rows
-            if len(best) <= _dimension_floor(rho, best):
-                break
-    if best is None:
-        return None
-    while len(best) > 1:
-        sub = rho.restriction(best)
-        inner = _minimal_invariant_subspace(sub)
-        if inner is None:
-            break
-        # lift the inner rows through the basis of ``best``
-        lifted = []
-        for coeffs in inner:
-            vec = [rho.field.zero()] * rho.n
-            for c, row in zip(coeffs, best):
-                vec = [x + c * y for x, y in zip(vec, row)]
-            lifted.append(tuple(vec))
-        best = _canonical_rows(rho.field, lifted)
-    return best
-
-
 def composition_series(rho: Representation) -> InvariantFlag:
     """A full composition series as an invariant flag.
 
-    Repeatedly extracts a minimal invariant subspace of the current quotient;
-    the conjugated generators come out block upper triangular with
-    irreducible diagonal blocks.
+    Splits V at the first certified invariant subspace W and refines both
+    ends: by Jordan-Hoelder, a composition series of W followed by the lift
+    of one of V/W is one of V.  The conjugated generators come out block
+    upper triangular with irreducible diagonal blocks, in the order the
+    splits find them, not by size.
     """
-    field = rho.field
-    minimal = _minimal_invariant_subspace(rho)
-    if minimal is None:
-        return InvariantFlag(Matrix.identity(field, rho.n), (rho.n,))
-    k = len(minimal)
-    quot, basis = rho.quotient(minimal)
-    inner = composition_series(quot)
-    # assemble h = basis * blockdiag(I_k, inner.basis_change)
-    n = rho.n
-    one, zero = field.one(), field.zero()
-    blk = [[zero] * n for _ in range(n)]
+    field, n = rho.field, rho.n
+    rows = _first_invariant_subspace(rho)
+    if rows is None:
+        return InvariantFlag(Matrix.identity(field, n), (n,))
+    k = len(rows)
+    low = composition_series(rho.restriction(rows))
+    quot, basis = rho.quotient(rows)
+    high = composition_series(quot)
+    # h = basis * blockdiag(h_W, h_{V/W})
+    blk = [[field.zero()] * n for _ in range(n)]
     for i in range(k):
-        blk[i][i] = one
-    hin = inner.basis_change
+        blk[i][:k] = low.basis_change.data[i]
     for i in range(n - k):
-        for j in range(n - k):
-            blk[k + i][k + j] = hin.data[i][j]
+        blk[k + i][k:] = high.basis_change.data[i]
     h = basis * Matrix(field, tuple(tuple(r) for r in blk))
-    flag = InvariantFlag(h, (k,) + inner.block_sizes)
+    flag = InvariantFlag(h, low.block_sizes + high.block_sizes)
     if not flag.verify(rho):
         raise NotInvariantError("composition series failed verification")
     return flag
@@ -812,10 +697,8 @@ def semisimplify(rho: Representation) -> Semisimplification:
                     rows[i][j] = field.zero()
                 for j in range(0, lo):
                     rows[i][j] = field.zero()  # clean tolerance residue (real)
-        gens[s] = Matrix(field, tuple(tuple(r) for r in rows))
-    block_diag = Representation(field, gens)
-    rho_ss = block_diag.conjugate_by(hinv)
-    return Semisimplification(flag=flag, rho_ss=rho_ss)
+        gens[s] = h * Matrix(field, tuple(tuple(r) for r in rows)) * hinv
+    return Semisimplification(flag=flag, rho_ss=Representation(field, gens))
 
 
 # ---------------------------------------------------------------------------

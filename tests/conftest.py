@@ -357,12 +357,15 @@ def trace_form_is_cr(rep) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# seeded block tuples around the minimal-subspace floor
+# seeded block tuples of split and non-split shapes (the "floor" corpus; its
+# name and seeds are kept from the dimension floor it once tested, so its
+# tuples stay the same)
 
 # (name, block sizes, split, keep e1 in the first block).  Non-split means
 # non-split above the first block.  With e1 kept in the first block (names
 # ending "-e1"), the battery's first probe spins the first block, so the
-# first candidate is the first summand, the larger one of (2, 1) and (3, 1).
+# first candidate is the first summand, the larger one of (2, 1) and (3, 1),
+# and the composition series lists it first.
 FLOOR_SHAPES = (
     ("split-2-1-e1", (2, 1), True, True),
     ("split-3-1-e1", (3, 1), True, True),

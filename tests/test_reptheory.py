@@ -24,8 +24,6 @@ from localrep.errors import NotCrError, NotInvariantError
 from localrep import jsonio, reptheory
 from localrep.reptheory import (
     PROBE_SEED,
-    _dimension_floor,
-    _minimal_invariant_subspace,
     find_invertible_intertwiner,
     intertwiner_space,
     invariant_subspace_candidates,
@@ -290,13 +288,34 @@ def _fresh(rho):
     return Representation(rho.field, dict(rho.gens))
 
 
-def _walk(rho, seed=PROBE_SEED):
+def _first(rho, seed=PROBE_SEED):
+    """The first candidate of a walk on a fresh copy of ``rho``."""
     with probe_seed(seed):
-        return list(invariant_subspace_candidates(rho))
+        return next(invariant_subspace_candidates(_fresh(rho)), None)
 
 
-# three invariant lines and three invariant planes, found in a seed-dependent order
-THREE_LINES = ({"a": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}, [[1, 1, 0], [0, 1, 1], [1, 0, 2]])
+def _oracle_series(rho):
+    """``(basis change, block sizes)``: split at the first candidate of a fresh
+    walk, both ends refined through restrictions and quotients built afresh."""
+    field, n = rho.field, rho.n
+    rows = _first(rho, reptheory._active_seed.get()) if n > 1 else None
+    if rows is None:
+        return Matrix.identity(field, n), (n,)
+    k = len(rows)
+    low, low_sizes = _oracle_series(restrict_to_subspace(rho, rows))
+    quot, basis = quotient_representation(rho, rows)
+    high, high_sizes = _oracle_series(quot)
+    blk = [[field.zero()] * n for _ in range(n)]
+    for i in range(k):
+        blk[i][:k] = low.data[i]
+    for i in range(n - k):
+        blk[k + i][k:] = high.data[i]
+    return basis * Matrix(field, tuple(tuple(r) for r in blk)), low_sizes + high_sizes
+
+
+# diag(1, 2, 3) seen through a conjugator: the first candidate comes from a
+# seeded probe, so the default seed and seed 1 find different subspaces
+SEEDED_LINES = ({"a": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}, [[1, 2, 1], [-2, 1, -1], [-1, -2, 1]])
 # [[C, I], [0, C]] with C the companion of x^2 - 2: no probe spin finds the
 # invariant plane; the trace-form radical, after the word algebra, does
 NONSPLIT_COMPANION = ({"a": [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]]},
@@ -309,128 +328,71 @@ def _conjugated(field, case):
 
 
 class TestBatteryMemo:
-    """Walks of ``invariant_subspace_candidates`` share one battery per tuple and seed."""
+    """The decisions read the battery's first candidate, built once per tuple and seed."""
 
-    def test_full_and_second_walk(self):
-        rho = _conjugated(Q5, THREE_LINES)
-        expected = _walk(_fresh(rho))
-        assert [len(rows) for rows in expected] == [2, 2, 2, 1, 1, 1]
-        assert _walk(rho) == expected
-        assert _walk(rho) == expected
+    def test_battery_runs_once_per_tuple_and_seed(self, floor_corpus, exact_corpus,
+                                                  monkeypatch):
+        runs = []
+        original = reptheory.invariant_subspace_candidates
 
-    def test_partial_then_full_walk(self):
-        rho = _conjugated(Q5, THREE_LINES)
-        expected = _walk(_fresh(rho))
-        partial = invariant_subspace_candidates(rho)
-        assert [next(partial), next(partial)] == expected[:2]
-        assert _walk(rho) == expected
-        assert list(partial) == expected[2:]
+        def counted(rho):
+            runs.append((rho, reptheory._active_seed.get()))  # keeps rho, so ids stay unique
+            return original(rho)
+
+        monkeypatch.setattr(reptheory, "invariant_subspace_candidates", counted)
+        tuples = [_fresh(rho) for _, rho in floor_corpus] + [_fresh(e.rep) for e in exact_corpus]
+        for rho in tuples:
+            for seed in (PROBE_SEED, 1, PROBE_SEED):
+                with probe_seed(seed):
+                    is_nonparabolic(rho)
+                    is_cr(rho)
+                    composition_series(rho)
+                    semisimplify(rho)
+        keys = [(id(rho), seed) for rho, seed in runs]
+        assert len(keys) == len(set(keys))
+        for rho in tuples:
+            if rho.n > 1:
+                assert (id(rho), PROBE_SEED) in keys and (id(rho), 1) in keys
 
     def test_probe_seeds_are_kept_apart(self):
-        rho = _conjugated(Q5, THREE_LINES)
-        default, other = _walk(rho), _walk(rho, seed=1)
-        assert default != other  # the probes order the candidates differently
-        assert default == _walk(_fresh(rho))
-        assert other == _walk(_fresh(rho), seed=1)
-        assert _walk(rho) == default and _walk(rho, seed=1) == other
+        rho = _conjugated(Q5, SEEDED_LINES)
+        default, other = _first(rho), _first(rho, seed=1)
+        assert default != other
+        for _ in range(2):
+            for seed, rows in ((PROBE_SEED, default), (1, other)):
+                with probe_seed(seed):
+                    ok, flag = is_nonparabolic(rho)
+                    assert not ok and flag == reptheory._single_step_flag(rho, rows)
+                    series = composition_series(rho)
+                    assert (series.basis_change, series.block_sizes) == _oracle_series(rho)
 
     def test_failed_battery_is_not_cached_as_exhausted(self, monkeypatch):
         rho = _conjugated(Q5, NONSPLIT_COMPANION)
-        expected = _walk(_fresh(rho))
-        assert [len(rows) for rows in expected] == [2]
+        expected = _first(rho)
+        assert len(expected) == 2
 
         def broken(*args, **kwargs):
             raise RuntimeError("word algebra failed")
 
         monkeypatch.setattr(reptheory, "word_algebra_basis", broken)
-        with pytest.raises(RuntimeError):
-            _walk(rho)
+        for decide in (is_nonparabolic, is_cr, composition_series):
+            with pytest.raises(RuntimeError):
+                decide(rho)
         monkeypatch.undo()
-        assert _walk(rho) == expected
         ok, flag = is_nonparabolic(rho)
-        assert not ok and flag.verify(rho)
+        assert not ok and flag == reptheory._single_step_flag(rho, expected)
+        assert not is_cr(rho)
+        assert composition_series(rho).block_sizes == (2, 2)
 
 
-def _exhaustive_minimal(rho):
-    """The rule without a floor: the first candidate of least dimension of the
-    whole walk, refined through restrictions built afresh."""
-    candidates = list(invariant_subspace_candidates(_fresh(rho)))
-    if not candidates:
-        return None
-    best = min(candidates, key=len)
-    while len(best) > 1:
-        inner = _exhaustive_minimal(restrict_to_subspace(rho, best))
-        if inner is None:
-            break
-        field = rho.field
-        lifted = []
-        for coeffs in inner:
-            vec = [field.zero()] * rho.n
-            for c, row in zip(coeffs, best):
-                vec = [x + c * y for x, y in zip(vec, row)]
-            lifted.append(tuple(vec))
-        best = reptheory._canonical_rows(field, lifted)
-    return best
+class TestCompositionSeriesFromFirstCandidate:
+    """The series splits at the first certified subspace and refines both ends."""
 
-
-def _exhaustive_series(rho):
-    """``(basis change, block sizes)`` of the series built on :func:`_exhaustive_minimal`."""
-    field, n = rho.field, rho.n
-    minimal = _exhaustive_minimal(rho)
-    if minimal is None:
-        return Matrix.identity(field, n), (n,)
-    k = len(minimal)
-    quot, basis = quotient_representation(rho, minimal)
-    inner, sizes = _exhaustive_series(quot)
-    blk = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
-    for i in range(n - k):
-        blk[k + i][k:] = inner.data[i]
-    return basis * Matrix(field, tuple(tuple(r) for r in blk)), (k,) + sizes
-
-
-def _first_candidate(rho):
-    return next(iter(invariant_subspace_candidates(rho)))
-
-
-class TestMinimalSubspaceFloor:
-    """The walk for a minimal subspace stops at a proven floor, and picks what the full walk picks."""
-
-    def test_matches_the_exhaustive_rule(self, floor_corpus):
-        for name, rho in floor_corpus:
-            assert _minimal_invariant_subspace(_fresh(rho)) == _exhaustive_minimal(rho), name
+    def test_matches_the_first_candidate_oracle(self, floor_corpus, exact_corpus):
+        corpus = list(floor_corpus) + [(e.name, e.rep) for e in exact_corpus]
+        for name, rho in corpus:
             flag = composition_series(_fresh(rho))
-            assert (flag.basis_change, flag.block_sizes) == _exhaustive_series(rho), name
-
-    @pytest.mark.parametrize("tag", ["Q5", "F3T", "R"])
-    def test_floor_on_the_corpus(self, floor_corpus, tag):
-        corpus = dict(floor_corpus)
-        # split, first candidate the larger summand: q = 1 < k and a complement
-        for name, k in (("split-2-1-e1", 2), ("split-3-1-e1", 3)):
-            rho = corpus[f"{tag}:{name}"]
-            first = _first_candidate(rho)
-            assert len(first) == k and _dimension_floor(rho, first) == 1, name
-            assert len(_minimal_invariant_subspace(rho)) == 1, name
-        # non-split, q < k: no complement, so W is the only simple submodule
-        for name, k in (("nonsplit-2-1-e1", 2), ("nonsplit-2-2-e1", 2)):
-            rho = corpus[f"{tag}:{name}"]
-            first = _first_candidate(rho)
-            assert len(first) == k and _dimension_floor(rho, first) == k, name
-
-    def test_floor_falls_back_to_one(self, floor_corpus):
-        # summands C(x^2 - 2) and C(x^2 - 3): irreducible, not absolutely
-        rho = dict(floor_corpus)["Q5:fault-unconjugated"]
-        first = _first_candidate(rho)
-        assert len(first) == 2 and _dimension_floor(rho, first) == 1
-        assert [len(rows) for rows in invariant_subspace_candidates(rho)] == [2, 2]
-
-    def test_floor_is_the_complement_dimension(self):
-        rng = random.Random("floor:Q5:3-2")
-        split = block_tuple(Q5, rng, (3, 2), True, keep_e1=True)
-        first = _first_candidate(split)
-        assert len(first) == 3 and _dimension_floor(split, first) == 2
-        nonsplit = block_tuple(Q5, rng, (3, 2), False, keep_e1=True)
-        first = _first_candidate(nonsplit)
-        assert len(first) == 3 and _dimension_floor(nonsplit, first) == 3
+            assert (flag.basis_change, flag.block_sizes) == _oracle_series(rho), name
 
     def test_analyze_never_builds_the_whole_tuple_algebra(self, floor_corpus, monkeypatch,
                                                           tmp_path):
@@ -449,6 +411,27 @@ class TestMinimalSubspaceFloor:
         assert payload["flag"]["block_sizes"] == [2, 2]
         assert sizes["word_algebra_basis"] == [2, 2]  # W and V/W only
         assert sizes["intertwiner_space"] == []
+
+
+class TestThreeBlockSplitCorpus:
+    """Split tuples with three absolutely irreducible blocks, labelled by construction.
+
+    The first candidate can be any sum of blocks, so both ends of the split
+    need refining.
+    """
+
+    @pytest.mark.parametrize("field, sizes", [
+        (Q5, (1, 1, 2)), (Q5, (2, 1, 1)), (F3, (1, 1, 1)),
+    ], ids=["Q5-1-1-2", "Q5-2-1-1", "F3T-1-1-1"])
+    def test_verdicts_and_blocks(self, field, sizes):
+        for seed in range(100):
+            rng = random.Random(f"three-block:{field.kind}:{sizes}:{seed}")
+            rho = block_tuple(field, rng, sizes, split=True)
+            assert is_nonparabolic(rho)[0] is False, seed
+            assert is_cr(rho) is True, seed
+            flag = composition_series(rho)
+            assert flag.verify(rho), seed
+            assert sorted(flag.block_sizes) == sorted(sizes), seed
 
 
 def _random_entry(field, rng):
