@@ -13,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    DimensionMismatchError,
-    FieldMismatchError,
-    GeneratorMismatchError,
-    NotRealFieldError,
-)
+from .errors import NotRealFieldError
 from .reptheory import (
     Representation,
+    check_comparable,
     fingerprints_match,
     same_class,
     semisimplify,
@@ -59,22 +55,13 @@ def _lam(canonical: Representation, budget: int) -> float:
     return symspace.minimize_displacement(canonical, budget=budget).lambda_est
 
 
-def _check_comparable(r1: Representation, r2: Representation):
-    if r1.field != r2.field:
-        raise FieldMismatchError(f"{r1.field} vs {r2.field}")
-    if r1.n != r2.n:
-        raise DimensionMismatchError(f"{r1.n} vs {r2.n}")
-    if r1.symbols != r2.symbols:
-        raise GeneratorMismatchError("generator symbol sets differ")
-
-
 def same_point_in_Xcr(r1: Representation, r2: Representation):
     """Do the orbit closures meet, i.e. do both project to the same class?
 
     Returns True or False: :func:`~localrep.reptheory.same_class` on the two
     semisimplifications.
     """
-    _check_comparable(r1, r2)
+    check_comparable(r1, r2)
     return same_class(semisimplify(r1).rho_ss, semisimplify(r2).rho_ss)[0]
 
 
@@ -113,7 +100,7 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
     if not family:
         raise ValueError("empty family")
     for other in family[1:]:
-        _check_comparable(family[0], other)
+        check_comparable(family[0], other)
     field = family[0].field
     canonical = [semisimplify(rho).rho_ss for rho in family]
     lambdas = tuple(_lam(c, budget) for c in canonical) if field.is_real else None

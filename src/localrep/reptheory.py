@@ -8,9 +8,15 @@ composition series and the associated semisimplification, and tests
 simultaneous conjugacy of semisimple tuples.
 
 All three module-structure decisions read one thing: the first invariant
-subspace the search certifies, built once per tuple and probe seed.  The
-composition series splits there and refines both ends, so it needs no
-minimal subspace.
+subspace W the search certifies, built once per tuple and probe seed, and
+the split of the tuple there, built once per W (:func:`split_at`).  The
+split conjugates by one adapted basis, so each generator becomes
+[[A, B], [0, D]].  The composition series refines the A tuple (rho|_W) and
+the D tuple (rho_{V/W}); complete reducibility asks whether A X - X D = B
+is solvable and recurses on the same two tuples, so both questions share
+one split tree and each battery runs once.  Spins and the word algebra
+close under the generators alone: in finite dimension m(U) in U gives
+m^-1(U) = U, and m^-1 lies in K[m] (Cayley-Hamilton).
 
 Every negative verdict is certified: routines that report a reducible module
 return an invariant flag whose invariance is re-verified exactly before it is
@@ -80,8 +86,7 @@ class Representation:
         self.n = n
         self.gens = mats
         self._inverses = None
-        # "algebra", ("first", seed), ("restriction", rows) or ("quotient", rows)
-        # -> built value
+        # "algebra", ("first", seed) or ("split", rows) -> built value
         self._derived = {}
 
     @classmethod
@@ -106,20 +111,13 @@ class Representation:
         """:func:`word_algebra_basis` of this tuple, built once."""
         return self._derive("algebra", lambda: word_algebra_basis(self))
 
-    def restriction(self, rows) -> "Representation":
-        """:func:`restrict_to_subspace` to canonical ``rows``, built once per rows."""
-        return self._derive(("restriction", rows), lambda: restrict_to_subspace(self, rows))
-
-    def quotient(self, rows):
-        """:func:`quotient_representation` by canonical ``rows``, built once per rows."""
-        return self._derive(("quotient", rows), lambda: quotient_representation(self, rows))
+    def split(self, rows) -> "Split":
+        """:func:`split_at` the invariant canonical ``rows``, built once per rows."""
+        return self._derive(("split", rows), lambda: split_at(self, rows))
 
     def conjugate_by(self, h: Matrix) -> "Representation":
         hinv = h.inv()
         return Representation(self.field, {s: hinv * m * h for s, m in self.gens.items()})
-
-    def dual(self) -> "Representation":
-        return Representation(self.field, {s: m.transpose() for s, m in self.inverses().items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Representation):
@@ -169,6 +167,34 @@ class Semisimplification:
     rho_ss: Representation
 
 
+@dataclass(frozen=True)
+class Split:
+    """A tuple conjugated by an adapted basis b of an invariant subspace W.
+
+    The first ``sub.n`` columns of ``basis`` span W, so b^-1 g b is
+    [[A, B], [0, D]] for every generator g: ``sub`` is the A tuple (rho|_W),
+    ``quot`` the D tuple (rho_{V/W}) and ``off`` maps each symbol to the
+    rows of its B.
+    """
+
+    basis: Matrix
+    sub: Representation
+    off: dict
+    quot: Representation
+
+    def complement(self):
+        """A solution X of A X - X D = B for every generator, or None.
+
+        X exists exactly when W has an invariant complement: the span of
+        the columns of b [[-X], [I]], a copy of V/W.
+        """
+        field, k, q = self.sub.field, self.sub.n, self.quot.n
+        symbols = self.sub.symbols
+        pairs = [(self.sub.gens[s].data, self.quot.gens[s].data) for s in symbols]
+        rhs = [x for s in symbols for row in self.off[s] for x in row]
+        return solve_linear(field, _sylvester_rows(field, pairs, k, q), rhs)
+
+
 def _boundaries(sizes) -> tuple:
     out = [0]
     for s in sizes:
@@ -185,13 +211,13 @@ def _canonical_rows(field: Field, rows) -> tuple:
 def spin(rho: Representation, vec) -> tuple:
     """Canonical basis of the smallest invariant subspace containing ``vec``.
 
-    Closure under every generator and generator inverse, with membership
-    decided by echelon reduction.
+    Closure under every generator, with membership decided by echelon
+    reduction; it is closed under the inverses too (module docstring).
     """
     vec = tuple(rho.field.coerce(x) for x in vec)
     if all(rho.field.is_zero(x) for x in vec):
         raise ValueError("spin needs a nonzero vector")
-    mats = list(rho.gens.values()) + list(rho.inverses().values())
+    mats = list(rho.gens.values())
     span = Echelon(rho.field)
     span.insert(vec)
     queue = [vec]
@@ -217,39 +243,6 @@ def _is_invariant(rho: Representation, rows) -> bool:
     return True
 
 
-def _coords_in_rref_basis(field: Field, basis_rows, vec):
-    """Coordinates of ``vec`` in an RREF row basis (pivot-read trick)."""
-    pivots = []
-    for row in basis_rows:
-        for i, x in enumerate(row):
-            if not field.is_zero(x):
-                pivots.append(i)
-                break
-    coords = tuple(vec[p] for p in pivots)
-    # consistency: vec must reduce to zero against the basis
-    residual = list(vec)
-    for c, row in zip(coords, basis_rows):
-        residual = [a - c * b for a, b in zip(residual, row)]
-    sc = max((abs(x) for x in vec), default=1.0) if field.is_real else 1.0
-    if any(not field.is_zero(x, sc) for x in residual):
-        raise NotInvariantError("vector outside the subspace")
-    return coords
-
-
-def restrict_to_subspace(rho: Representation, rows) -> Representation:
-    """Action of the generators on an invariant subspace, in the given basis."""
-    field = rho.field
-    gens = {}
-    for s, m in rho.gens.items():
-        cols = [_coords_in_rref_basis(field, rows, m.apply(r)) for r in rows]
-        # cols[i] are coordinates of image of basis vector i: assemble columns
-        k = len(rows)
-        gens[s] = Matrix(field, tuple(
-            tuple(cols[j][i] for j in range(k)) for i in range(k)
-        ))
-    return Representation(field, gens)
-
-
 def _adapted_basis_matrix(field: Field, rows, n: int) -> Matrix:
     """Invertible matrix whose first columns are the given basis rows.
 
@@ -273,23 +266,26 @@ def _adapted_basis_matrix(field: Field, rows, n: int) -> Matrix:
     ))
 
 
-def quotient_representation(rho: Representation, rows):
-    """Quotient action on V / span(rows).
+def split_at(rho: Representation, rows) -> Split:
+    """Split ``rho`` at the invariant subspace spanned by the canonical ``rows``.
 
-    Returns ``(rep, basis)`` where ``basis`` is the adapted change of basis
-    whose first columns span the subspace; the quotient matrices are the
-    bottom-right blocks of the conjugated generators.
+    One adapted basis b (:func:`_adapted_basis_matrix`), one inverse and one
+    conjugation per generator.  Raises :class:`NotInvariantError` when a
+    lower-left entry of some b^-1 g b is not zero.
     """
-    k = len(rows)
-    basis = _adapted_basis_matrix(rho.field, rows, rho.n)
+    field, k = rho.field, len(rows)
+    basis = _adapted_basis_matrix(field, rows, rho.n)
     binv = basis.inv()
-    gens = {}
+    sub, off, quot = {}, {}, {}
     for s, m in rho.gens.items():
         t = binv * m * basis
-        gens[s] = Matrix(rho.field, tuple(
-            tuple(t.data[i][j] for j in range(k, rho.n)) for i in range(k, rho.n)
-        ))
-    return Representation(rho.field, gens), basis
+        sc = t.entry_scale()
+        if not all(field.is_zero(x, sc) for row in t.data[k:] for x in row[:k]):
+            raise NotInvariantError("subspace is not invariant")
+        sub[s] = Matrix(field, (row[:k] for row in t.data[:k]))
+        off[s] = tuple(row[k:] for row in t.data[:k])
+        quot[s] = Matrix(field, (row[k:] for row in t.data[k:]))
+    return Split(basis, Representation(field, sub), off, Representation(field, quot))
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +314,23 @@ def _kernel_rows(field: Field, rows) -> tuple:
     return _canonical_rows(field, rref(field, rows).kernel)
 
 
-def word_algebra_basis(rho: Representation, cap: int | None = None):
-    """Echelon basis of the span of all word images inside n x n matrices."""
+def word_algebra_basis(rho: Representation):
+    """Echelon basis of the span of all word images inside n x n matrices.
+
+    Grown from the identity by the generators alone: the span is the algebra
+    they generate, which holds their inverses (module docstring).
+    """
     n = rho.n
-    cap = n * n if cap is None else cap
     span = Echelon(rho.field)
     basis = []
     queue = []
-    seeds = [Matrix.identity(rho.field, n)] + list(rho.gens.values()) + list(rho.inverses().values())
-    for m in seeds:
+    for m in [Matrix.identity(rho.field, n)] + list(rho.gens.values()):
         flat = tuple(x for row in m.data for x in row)
         if span.insert(flat):
             basis.append(m)
             queue.append(m)
-    letters = list(rho.gens.values()) + list(rho.inverses().values())
-    while queue and span.rank < cap:
+    letters = list(rho.gens.values())
+    while queue and span.rank < n * n:
         m = queue.pop(0)
         for g in letters:
             prod = g * m
@@ -340,7 +338,7 @@ def word_algebra_basis(rho: Representation, cap: int | None = None):
             if span.insert(flat):
                 basis.append(prod)
                 queue.append(prod)
-            if span.rank >= cap:
+            if span.rank == n * n:
                 break
     return basis
 
@@ -445,9 +443,9 @@ def invariant_subspace_candidates(rho: Representation):
     """Yield verified proper nonzero invariant subspaces, cheapest first.
 
     Layers: spins of standard and seeded probe vectors, the same for the
-    dual action (annihilators), the subspace moved by the trace-form radical
-    of the word algebra, and kernels of singular non-scalar elements of the
-    commutant.  Every candidate is re-verified before being yielded, so
+    transposed generators (annihilators), the subspace moved by the
+    trace-form radical of the word algebra, and kernels of singular
+    non-scalar elements of the commutant.  Every candidate is re-verified before being yielded, so
     unsound intermediate heuristics cannot leak wrong answers.  Nothing is
     remembered between walks and nothing is deduplicated: a walk can yield
     one subspace more than once.  The decisions read only the first
@@ -471,7 +469,7 @@ def invariant_subspace_candidates(rho: Representation):
         got = check(spin(rho, v))
         if got:
             yield got
-    dual = rho.dual()
+    dual = Representation(field, {s: m.transpose() for s, m in rho.gens.items()})
     for v in probes:
         urows = spin(dual, v)
         if 0 < len(urows) < n:
@@ -586,63 +584,45 @@ def has_invariant_complement(rho: Representation, rows):
     """Feasibility of an equivariant projector onto the invariant ``rows``.
 
     Returns ``(True, projector)`` when the subspace splits off, else
-    ``(False, None)``.  The projector satisfies ``p g = g p`` for every
-    generator ``g``, fixes the subspace pointwise and has image inside it,
-    so its kernel is the invariant complement.
+    ``(False, None)``, read off :meth:`Split.complement` of the tuple's
+    split at the canonical form of ``rows``, which raises
+    :class:`NotInvariantError` for rows that are not invariant.  The
+    projector satisfies ``p g = g p`` for every generator ``g``, fixes the
+    subspace pointwise and has image inside it, so its kernel is the
+    invariant complement.
     """
     field = rho.field
     rows = _canonical_rows(field, rows)
-    if not _is_invariant(rho, rows):
-        raise NotInvariantError("subspace is not invariant")
     n, k = rho.n, len(rows)
     if k == n or k == 0:
         return True, Matrix.identity(field, n) if k == n else Matrix.zeros(field, n)
-    basis = _adapted_basis_matrix(field, rows, n)
-    binv = basis.inv()
-    # unknown X (k x (n-k)) with A X - X D = B for every generator
-    q = n - k
-    pairs, rhs = [], []
-    for m in rho.gens.values():
-        t = binv * m * basis
-        pairs.append(([row[:k] for row in t.data[:k]], [row[k:] for row in t.data[k:]]))
-        rhs.extend(x for row in t.data[:k] for x in row[k:])
-    sol = solve_linear(field, _sylvester_rows(field, pairs, k, q), rhs)
+    split = rho.split(rows)
+    sol = split.complement()
     if sol is None:
         return False, None
     # projector in the adapted basis: [[I, X], [0, 0]]
-    proj_rows = []
-    one, zero = field.one(), field.zero()
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < k and j < k:
-                row.append(one if i == j else zero)
-            elif i < k:
-                row.append(sol[i * q + (j - k)])
-            else:
-                row.append(zero)
-        proj_rows.append(tuple(row))
-    proj = basis * Matrix(field, tuple(proj_rows)) * binv
-    return True, proj
+    q = n - k
+    ident = Matrix.identity(field, k).data
+    proj = [ident[i] + sol[i * q:(i + 1) * q] for i in range(k)] + [(field.zero(),) * n] * q
+    return True, split.basis * Matrix(field, proj) * split.basis.inv()
 
 
 def is_cr(rho: Representation) -> bool:
     """Complete reducibility: the module splits as a direct sum of irreducibles.
 
-    Recursive splitting test: an irreducible module is completely reducible;
-    otherwise the first certified invariant subspace, the certificate of
-    :func:`is_nonparabolic`, must admit an invariant complement and both
-    halves must again pass.  Characteristic-free.
+    Recursive splitting test on the split tree of :func:`composition_series`:
+    an irreducible module is completely reducible; otherwise, at the first
+    certified invariant subspace W (the certificate of
+    :func:`is_nonparabolic`), W must have an invariant complement
+    (:meth:`Split.complement`) and rho|_W and rho_{V/W} must again pass.
+    A complement is isomorphic to V/W, so no complement tuple is built.
+    Characteristic-free.
     """
     rows = _first_invariant_subspace(rho)
     if rows is None:
         return True
-    ok, proj = has_invariant_complement(rho, rows)
-    if not ok:
-        return False
-    sub = rho.restriction(rows)
-    comp = rho.restriction(_kernel_rows(rho.field, proj.data))
-    return is_cr(sub) and is_cr(comp)
+    split = rho.split(rows)
+    return split.complement() is not None and is_cr(split.sub) and is_cr(split.quot)
 
 
 def composition_series(rho: Representation) -> InvariantFlag:
@@ -659,16 +639,16 @@ def composition_series(rho: Representation) -> InvariantFlag:
     if rows is None:
         return InvariantFlag(Matrix.identity(field, n), (n,))
     k = len(rows)
-    low = composition_series(rho.restriction(rows))
-    quot, basis = rho.quotient(rows)
-    high = composition_series(quot)
+    split = rho.split(rows)
+    low = composition_series(split.sub)
+    high = composition_series(split.quot)
     # h = basis * blockdiag(h_W, h_{V/W})
     blk = [[field.zero()] * n for _ in range(n)]
     for i in range(k):
         blk[i][:k] = low.basis_change.data[i]
     for i in range(n - k):
         blk[k + i][k:] = high.basis_change.data[i]
-    h = basis * Matrix(field, tuple(tuple(r) for r in blk))
+    h = split.basis * Matrix(field, tuple(tuple(r) for r in blk))
     flag = InvariantFlag(h, low.block_sizes + high.block_sizes)
     if not flag.verify(rho):
         raise NotInvariantError("composition series failed verification")
@@ -865,6 +845,16 @@ def same_class(r1: Representation, r2: Representation):
     return False, f"dim Hom = {hom}, dim End = {end1} and {end2}"
 
 
+def check_comparable(r1: Representation, r2: Representation):
+    """Raise unless r1 and r2 share their field, dimension and symbols."""
+    if r1.field != r2.field:
+        raise FieldMismatchError(f"{r1.field} vs {r2.field}")
+    if r1.n != r2.n:
+        raise DimensionMismatchError(f"{r1.n} vs {r2.n}")
+    if r1.symbols != r2.symbols:
+        raise GeneratorMismatchError("generator symbol sets differ")
+
+
 def are_conjugate_ss(r1: Representation, r2: Representation, check_cr: bool = True) -> bool:
     """Simultaneous conjugacy of two completely reducible tuples.
 
@@ -872,12 +862,7 @@ def are_conjugate_ss(r1: Representation, r2: Representation, check_cr: bool = Tr
     :func:`same_class`.  With ``check_cr`` both inputs are first checked to
     be completely reducible, which the dimension test needs.
     """
-    if r1.field != r2.field:
-        raise FieldMismatchError(f"{r1.field} vs {r2.field}")
-    if r1.n != r2.n:
-        raise DimensionMismatchError(f"{r1.n} vs {r2.n}")
-    if r1.symbols != r2.symbols:
-        raise GeneratorMismatchError("generator symbol sets differ")
+    check_comparable(r1, r2)
     if check_cr and (not is_cr(r1) or not is_cr(r2)):
         raise NotCrError("both inputs must be completely reducible")
     return same_class(r1, r2)[0]

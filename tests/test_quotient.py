@@ -17,7 +17,13 @@ from localrep import (
     separation_experiment,
     trace_fingerprint,
 )
-from localrep.errors import NotRealFieldError
+from localrep import quotient, reptheory
+from localrep.errors import (
+    DimensionMismatchError,
+    FieldMismatchError,
+    GeneratorMismatchError,
+    NotRealFieldError,
+)
 from localrep.parabolic import build_neighbors
 from localrep.quotient import FINGERPRINT_LENGTH
 from localrep.reptheory import same_class
@@ -54,6 +60,28 @@ class TestProject:
         cls = project(rep(R, {"a": [[math.e, 0], [0, 1 / math.e]]}))
         assert cls.lam is not None
         assert abs(cls.lam - 2 * math.sqrt(2)) < 1e-3
+
+
+class TestOneComparabilityCheck:
+    """``are_conjugate_ss`` and the quotient layer refuse a mismatched pair alike."""
+
+    @pytest.mark.parametrize("other, error", [
+        (rep(F3, {"a": [[1, 0], [0, 1]]}), FieldMismatchError),
+        (rep(Q5, {"a": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}), DimensionMismatchError),
+        (rep(Q5, {"b": [[1, 0], [0, 1]]}), GeneratorMismatchError),
+    ], ids=["field", "dimension", "symbols"])
+    def test_same_errors_and_messages(self, other, error):
+        rho = rep(Q5, {"a": [[2, 0], [0, 3]]})
+        messages = set()
+        for compare in (are_conjugate_ss, same_point_in_Xcr,
+                        lambda r1, r2: separation_experiment([r1, r2])):
+            with pytest.raises(error) as info:
+                compare(rho, other)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_one_helper(self):
+        assert quotient.check_comparable is reptheory.check_comparable
 
 
 class TestSamePoint:

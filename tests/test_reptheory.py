@@ -29,8 +29,7 @@ from localrep.reptheory import (
     invariant_subspace_candidates,
     iter_reduced_words,
     probe_seed,
-    quotient_representation,
-    restrict_to_subspace,
+    split_at,
 )
 
 from conftest import block_tuple, trace_form_is_cr
@@ -296,21 +295,21 @@ def _first(rho, seed=PROBE_SEED):
 
 def _oracle_series(rho):
     """``(basis change, block sizes)``: split at the first candidate of a fresh
-    walk, both ends refined through restrictions and quotients built afresh."""
+    walk, both ends refined through splits of fresh copies."""
     field, n = rho.field, rho.n
     rows = _first(rho, reptheory._active_seed.get()) if n > 1 else None
     if rows is None:
         return Matrix.identity(field, n), (n,)
     k = len(rows)
-    low, low_sizes = _oracle_series(restrict_to_subspace(rho, rows))
-    quot, basis = quotient_representation(rho, rows)
-    high, high_sizes = _oracle_series(quot)
+    split = split_at(_fresh(rho), rows)
+    low, low_sizes = _oracle_series(split.sub)
+    high, high_sizes = _oracle_series(split.quot)
     blk = [[field.zero()] * n for _ in range(n)]
     for i in range(k):
         blk[i][:k] = low.data[i]
     for i in range(n - k):
         blk[k + i][k:] = high.data[i]
-    return basis * Matrix(field, tuple(tuple(r) for r in blk)), low_sizes + high_sizes
+    return split.basis * Matrix(field, tuple(tuple(r) for r in blk)), low_sizes + high_sizes
 
 
 # diag(1, 2, 3) seen through a conjugator: the first candidate comes from a
@@ -413,6 +412,21 @@ class TestCompositionSeriesFromFirstCandidate:
         assert sizes["intertwiner_space"] == []
 
 
+THREE_BLOCK_SHAPES = ((Q5, (1, 1, 2)), (Q5, (2, 1, 1)), (F3, (1, 1, 1)))
+
+
+def _three_block(field, sizes, seed):
+    rng = random.Random(f"three-block:{field.kind}:{sizes}:{seed}")
+    return block_tuple(field, rng, sizes, split=True)
+
+
+def _three_block_corpus(seeds):
+    """``(name, sizes, rep)`` of :class:`TestThreeBlockSplitCorpus`'s tuples."""
+    for field, sizes in THREE_BLOCK_SHAPES:
+        for seed in seeds:
+            yield f"{field.kind}:{sizes}:{seed}", sizes, _three_block(field, sizes, seed)
+
+
 class TestThreeBlockSplitCorpus:
     """Split tuples with three absolutely irreducible blocks, labelled by construction.
 
@@ -420,18 +434,221 @@ class TestThreeBlockSplitCorpus:
     need refining.
     """
 
-    @pytest.mark.parametrize("field, sizes", [
-        (Q5, (1, 1, 2)), (Q5, (2, 1, 1)), (F3, (1, 1, 1)),
-    ], ids=["Q5-1-1-2", "Q5-2-1-1", "F3T-1-1-1"])
+    @pytest.mark.parametrize("field, sizes", THREE_BLOCK_SHAPES,
+                             ids=["Q5-1-1-2", "Q5-2-1-1", "F3T-1-1-1"])
     def test_verdicts_and_blocks(self, field, sizes):
         for seed in range(100):
-            rng = random.Random(f"three-block:{field.kind}:{sizes}:{seed}")
-            rho = block_tuple(field, rng, sizes, split=True)
+            rho = _three_block(field, sizes, seed)
             assert is_nonparabolic(rho)[0] is False, seed
             assert is_cr(rho) is True, seed
             flag = composition_series(rho)
             assert flag.verify(rho), seed
             assert sorted(flag.block_sizes) == sorted(sizes), seed
+
+
+def _same_rows(field, a, b):
+    """Equal row lists: exactly over the exact fields, up to the zero test over R."""
+    if not field.is_real:
+        return a == b
+    scale = max((abs(x) for r in list(a) + list(b) for x in r), default=1.0)
+    return len(a) == len(b) and all(field.eq(x, y, scale)
+                                    for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _block_matrix(field, split, s):
+    """[[A, B], [0, D]] of generator ``s`` from the parts of a split."""
+    top = [a + b for a, b in zip(split.sub.gens[s].data, split.off[s])]
+    bottom = [(field.zero(),) * split.sub.n + d for d in split.quot.gens[s].data]
+    return Matrix(field, top + bottom)
+
+
+class TestSplit:
+    """One adapted basis b per invariant subspace: b^-1 g b = [[A, B], [0, D]]."""
+
+    def test_blocks_reassemble_each_generator(self, exact_corpus, floor_corpus):
+        corpus = [(e.name, e.rep) for e in exact_corpus] + list(floor_corpus)
+        fields = set()
+        for name, rho in corpus:
+            field = rho.field
+            for rows in itertools.islice(invariant_subspace_candidates(_fresh(rho)), 3):
+                fields.add(field.kind)
+                split = split_at(rho, rows)
+                assert (split.sub.n, split.quot.n) == (len(rows), rho.n - len(rows)), name
+                # the first columns of b are the rows themselves
+                assert all(split.basis.column(i) == r for i, r in enumerate(rows)), name
+                binv = split.basis.inv()
+                for s, g in rho.gens.items():
+                    back = split.basis * _block_matrix(field, split, s) * binv
+                    if field.is_real:
+                        assert _matrices_equal(field, back, g), name
+                    else:
+                        assert back.data == g.data, name
+        assert fields == {"real", "padic", "funcfield"}
+
+    def test_built_once_per_rows(self):
+        rho = rep(Q5, {"a": [[2, 5], [0, 3]]})
+        rows = ((Fraction(1), Fraction(0)),)
+        assert rho.split(rows) is rho.split(rows)
+
+    @pytest.mark.parametrize("field, gens, rows", [
+        (Q5, {"a": [[0, 1], [1, 0]]}, [(1, 0)]),
+        (F3, {"a": [["T", 0], [1, "T"]]}, [(1, 0)]),
+        (R, {"a": [[2.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 2.0]]}, [(0, 1, 0)]),
+        # invariant under a, not under b
+        (Q5, {"a": [[1, 0, 0], [0, 2, 0], [0, 0, 3]], "b": [[1, 0, 1], [0, 1, 0], [0, 1, 1]]},
+         [(1, 0, 0), (0, 1, 0)]),
+    ])
+    def test_rows_that_are_not_invariant_raise(self, field, gens, rows):
+        rho = rep(field, gens)
+        rows = reptheory._canonical_rows(field, rows)
+        with pytest.raises(NotInvariantError):
+            split_at(rho, rows)
+        with pytest.raises(NotInvariantError):
+            rho.split(rows)
+        with pytest.raises(NotInvariantError):
+            has_invariant_complement(rho, rows)
+
+
+def _restrict(rho, rows):
+    """Action on the invariant span of the RREF ``rows``, read in that basis at
+    the rows' pivots (the restriction ``is_cr`` built before it read splits)."""
+    field = rho.field
+    pivots = [next(i for i, x in enumerate(r) if not field.is_zero(x)) for r in rows]
+    gens = {}
+    for s, m in rho.gens.items():
+        cols = []
+        for r in rows:
+            image = m.apply(r)
+            coords = [image[p] for p in pivots]
+            residual = list(image)
+            for c, row in zip(coords, rows):
+                residual = [a - c * b for a, b in zip(residual, row)]
+            scale = max((abs(x) for x in image), default=1.0) if field.is_real else 1.0
+            if not all(field.is_zero(x, scale) for x in residual):
+                raise NotInvariantError("vector outside the subspace")
+            cols.append(coords)
+        gens[s] = Matrix(field, [[c[i] for c in cols] for i in range(len(rows))])
+    return Representation(field, gens)
+
+
+def _oracle_is_cr(rho):
+    """The complement recursion: an equivariant projector onto the first candidate,
+    then both its image and its kernel restricted and tested, on fresh tuples."""
+    rows = _first(rho, reptheory._active_seed.get()) if rho.n > 1 else None
+    if rows is None:
+        return True
+    ok, proj = has_invariant_complement(_fresh(rho), rows)
+    if not ok:
+        return False
+    kernel = reptheory._kernel_rows(rho.field, proj.data)
+    return _oracle_is_cr(_restrict(rho, rows)) and _oracle_is_cr(_restrict(rho, kernel))
+
+
+class TestIsCrOnTheSeriesSplits:
+    """``is_cr`` recurses on the split's own A and D tuples, not on a complement."""
+
+    def test_matches_the_complement_oracle(self, exact_corpus, floor_corpus):
+        corpus = ([(e.name, e.rep) for e in exact_corpus] + list(floor_corpus)
+                  + [(name, rho) for name, _, rho in _three_block_corpus(range(20))])
+        for name, rho in corpus:
+            assert is_cr(_fresh(rho)) == _oracle_is_cr(rho), name
+
+    def test_analyze_runs_the_battery_on_the_split_tree_only(self, monkeypatch, tmp_path):
+        runs = []
+        original = reptheory.invariant_subspace_candidates
+
+        def counted(rho):
+            runs.append(rho)
+            return original(rho)
+
+        monkeypatch.setattr(reptheory, "invariant_subspace_candidates", counted)
+        path = tmp_path / "rho.json"
+        for name, sizes, rho in _three_block_corpus(range(10)):
+            runs.clear()
+            path.write_text(json.dumps(jsonio.representation_to_json(rho)))
+            code, payload = run(JobSpec("analyze", input=str(path)))
+            assert code == 0 and payload["cr"] is True, name
+            tree, leaves, todo = [], [], [runs[0]]
+            while todo:
+                node = todo.pop()
+                tree.append(node)
+                rows = node._derived.get(("first", PROBE_SEED))
+                if rows is None:
+                    leaves.append(node.n)
+                else:
+                    split = node._derived[("split", rows)]
+                    todo += [split.sub, split.quot]
+            assert sorted(leaves) == sorted(sizes), name
+            # once on every tuple of the tree that is not a line, and nowhere else
+            assert sorted(map(id, runs)) == sorted(id(node) for node in tree if node.n > 1), name
+
+
+class TestRealSplitRegression:
+    def test_real_split_1_1_2_seed_22_does_not_raise(self):
+        # is_cr raised NotInvariantError here when it restricted to the
+        # projector's kernel.  The verdict is a real split miss (ROADMAP
+        # item 11), so none is asserted.
+        rho = block_tuple(R, random.Random("stress:R:(1, 1, 2):True:22"), (1, 1, 2), True)
+        is_cr(rho)
+        flag = composition_series(rho)
+        assert flag.verify(rho)
+        semisimplify(rho)
+
+
+def _spin_with_inverses(rho, vec):
+    """The closure under the generators and their inverses."""
+    vec = tuple(rho.field.coerce(x) for x in vec)
+    mats = list(rho.gens.values()) + list(rho.inverses().values())
+    span = reptheory.Echelon(rho.field)
+    span.insert(vec)
+    queue = [vec]
+    while queue and span.rank < rho.n:
+        u = queue.pop(0)
+        for m in mats:
+            w = m.apply(u)
+            if span.insert(w):
+                queue.append(w)
+    return span.reduced()
+
+
+def _word_algebra_with_inverses(rho):
+    """The span of the words in the generators and their inverses."""
+    n = rho.n
+    letters = list(rho.gens.values()) + list(rho.inverses().values())
+    span = reptheory.Echelon(rho.field)
+    queue = []
+    for m in [Matrix.identity(rho.field, n)] + letters:
+        if span.insert([x for row in m.data for x in row]):
+            queue.append(m)
+    while queue and span.rank < n * n:
+        m = queue.pop(0)
+        for g in letters:
+            prod = g * m
+            if span.insert([x for row in prod.data for x in row]):
+                queue.append(prod)
+    return span.reduced()
+
+
+class TestClosuresUnderTheGenerators:
+    """In finite dimension the closure under the generators holds their inverses."""
+
+    def test_spins_match_the_closure_with_inverses(self, exact_corpus, floor_corpus):
+        corpus = [(e.name, e.rep) for e in exact_corpus] + list(floor_corpus)
+        for name, rho in corpus:
+            field = rho.field
+            for v in reptheory._probe_vectors(rho):
+                assert _same_rows(field, spin(rho, v), _spin_with_inverses(rho, v)), name
+            dual = Representation(field, {s: m.transpose() for s, m in rho.gens.items()})
+            for v in reptheory._probe_vectors(dual):
+                assert _same_rows(field, spin(dual, v), _spin_with_inverses(dual, v)), name
+
+    def test_word_algebra_spans_the_algebra_with_inverses(self, exact_corpus, floor_corpus):
+        corpus = [(e.name, e.rep) for e in exact_corpus] + list(floor_corpus)
+        for name, rho in corpus:
+            field = rho.field
+            flat = [[x for row in m.data for x in row] for m in reptheory.word_algebra_basis(rho)]
+            assert _same_rows(field, reptheory._canonical_rows(field, flat),
+                              _word_algebra_with_inverses(rho)), name
 
 
 def _random_entry(field, rng):
