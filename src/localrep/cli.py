@@ -71,24 +71,18 @@ def _infer_blocks(job: JobSpec, rho_minus, rho_plus) -> BlockStructure:
         except ValueError as exc:
             raise ParseError(f"bad --blocks {job.blocks!r}") from exc
         return BlockStructure(rho_minus.n, sizes)
-    # finest structure making the first tuple lower and the second upper
+    # The finest structure making the first tuple lower and the second upper.
+    # A structure fits exactly when each of its cuts fits on its own, so it
+    # cuts wherever the two-block structure there fits.
     n = rho_minus.n
-    for k in range(n, 0, -1):
-        for sizes in _compositions(n, k):
-            bs = BlockStructure(n, sizes)
-            if all(bs.is_block_triangular(m, "lower") for m in rho_minus.gens.values()) \
-               and all(bs.is_block_triangular(m, "upper") for m in rho_plus.gens.values()):
-                return bs
-    return BlockStructure(n, (n,))
 
+    def fits(b):
+        bs = BlockStructure(n, (b, n - b))
+        return all(bs.is_block_triangular(m, "lower") for m in rho_minus.gens.values()) \
+            and all(bs.is_block_triangular(m, "upper") for m in rho_plus.gens.values())
 
-def _compositions(n: int, k: int):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+    cuts = [0] + [b for b in range(1, n) if fits(b)] + [n]
+    return BlockStructure(n, tuple(hi - lo for lo, hi in zip(cuts, cuts[1:])))
 
 
 def run(job: JobSpec):
@@ -178,9 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--input", help="representation (or family) JSON file")
         sp.add_argument("--input2", help="second representation JSON file")
-        sp.add_argument("--imax", type=int, default=12, help="sequence length (1..64)")
-        sp.add_argument("--radius", type=int, default=4, help="most tree descent steps (1..6)")
-        sp.add_argument("--budget", type=int, default=5000, help="optimizer iteration budget")
+        sp.add_argument("--imax", type=int, default=JobSpec.imax, help="sequence length (1..64)")
+        sp.add_argument("--radius", type=int, default=JobSpec.radius,
+                        help="most tree descent steps (1..6)")
+        sp.add_argument("--budget", type=int, default=JobSpec.budget,
+                        help="optimizer iteration budget")
         sp.add_argument("--seed", default=hex(PROBE_SEED),
                         help="hex seed for the deterministic probe batches")
         sp.add_argument("--p", type=int, help="prime (counterexample)")
@@ -190,26 +186,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # the parser's dests are exactly JobSpec's fields
+    fields = vars(_build_parser().parse_args(argv))
     try:
-        seed = int(str(args.seed), 16) if isinstance(args.seed, str) else args.seed
+        fields["seed"] = int(fields["seed"], 16)
     except ValueError:
         print("error: --seed must be a hex integer", file=sys.stderr)
         return 2
-    job_kwargs = dict(
-        command=args.command,
-        input=args.input,
-        input2=args.input2,
-        imax=args.imax,
-        radius=args.radius,
-        budget=args.budget,
-        seed=seed,
-        p=args.p,
-        t=args.t,
-        blocks=args.blocks,
-    )
     try:
-        job = JobSpec(**job_kwargs)
+        job = JobSpec(**fields)
         code, payload = run(job)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

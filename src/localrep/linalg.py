@@ -75,9 +75,6 @@ class Matrix:
     def n(self) -> int:
         return len(self.data)
 
-    def row(self, i: int):
-        return self.data[i]
-
     def column(self, j: int):
         return tuple(r[j] for r in self.data)
 

@@ -31,6 +31,7 @@ the big-cell test alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionMismatchError,
@@ -41,7 +42,9 @@ from .errors import (
 )
 from .fields import Field, INFINITY
 from .linalg import Matrix
-from .reptheory import Representation
+
+if TYPE_CHECKING:
+    from .reptheory import Representation
 
 #: valuation threshold certifying non-archimedean convergence at finite index
 VALUATION_THRESHOLD = 20
@@ -359,20 +362,13 @@ def contract_unipotent(nseq, seq: FundamentalSequence,
     if not nseq:
         raise ValueError("empty sequence")
     f = nseq[0].field
-    one = f.one()
     for n_i in nseq:
         if not blocks.is_block_triangular(n_i, "upper"):
             raise NotUnipotentError("sequence member is not block upper triangular")
-        diag = blocks.diagonal_part(n_i)
-        sc = n_i.entry_scale()
-        for i in range(n_i.n):
-            for j in range(n_i.n):
-                target = one if i == j else f.zero()
-                if not f.eq(diag.data[i][j], target, sc):
-                    raise NotUnipotentError("sequence member is not unitriangular")
+        if not blocks.diagonal_part(n_i).is_identity(n_i.entry_scale()):
+            raise NotUnipotentError("sequence member is not unitriangular")
     last = len(nseq) - 1
     conj = seq.conjugate_power(nseq[last], last)
-    sc = max(conj.entry_scale(), 1.0)
     for i in range(conj.n):
         for j in range(conj.n):
             if i == j:

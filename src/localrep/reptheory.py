@@ -42,6 +42,7 @@ from .errors import (
 )
 from .fields import Field, FpPoly, FpRat
 from .linalg import Echelon, Matrix, rref, solve_linear
+from .parabolic import BlockStructure
 
 PROBE_SEED = 0x5EED
 INTERTWINER_RANDOM_TRIALS = 64
@@ -145,18 +146,15 @@ class InvariantFlag:
     basis_change: Matrix
     block_sizes: tuple
 
+    @property
+    def blocks(self) -> BlockStructure:
+        """The flag's standard parabolic; for a composition series, rho_ss is the Levi part."""
+        return BlockStructure(self.basis_change.n, self.block_sizes)
+
     def verify(self, rho: Representation) -> bool:
-        hinv = self.basis_change.inv()
-        bounds = _boundaries(self.block_sizes)
-        for m in rho.gens.values():
-            t = hinv * m * self.basis_change
-            sc = t.entry_scale()
-            for lo, hi in zip(bounds, bounds[1:]):
-                for i in range(hi, rho.n):
-                    for j in range(lo, hi):
-                        if not rho.field.is_zero(t.data[i][j], sc):
-                            return False
-        return True
+        h, blocks = self.basis_change, self.blocks
+        hinv = h.inv()
+        return all(blocks.is_block_triangular(hinv * m * h) for m in rho.gens.values())
 
 
 @dataclass(frozen=True)
@@ -193,13 +191,6 @@ class Split:
         pairs = [(self.sub.gens[s].data, self.quot.gens[s].data) for s in symbols]
         rhs = [x for s in symbols for row in self.off[s] for x in row]
         return solve_linear(field, _sylvester_rows(field, pairs, k, q), rhs)
-
-
-def _boundaries(sizes) -> tuple:
-    out = [0]
-    for s in sizes:
-        out.append(out[-1] + s)
-    return tuple(out)
 
 
 def _canonical_rows(field: Field, rows) -> tuple:
@@ -274,13 +265,13 @@ def split_at(rho: Representation, rows) -> Split:
     lower-left entry of some b^-1 g b is not zero.
     """
     field, k = rho.field, len(rows)
+    blocks = BlockStructure(rho.n, (k, rho.n - k))
     basis = _adapted_basis_matrix(field, rows, rho.n)
     binv = basis.inv()
     sub, off, quot = {}, {}, {}
     for s, m in rho.gens.items():
         t = binv * m * basis
-        sc = t.entry_scale()
-        if not all(field.is_zero(x, sc) for row in t.data[k:] for x in row[:k]):
+        if not blocks.is_block_triangular(t):
             raise NotInvariantError("subspace is not invariant")
         sub[s] = Matrix(field, (row[:k] for row in t.data[:k]))
         off[s] = tuple(row[k:] for row in t.data[:k])
@@ -343,15 +334,8 @@ def word_algebra_basis(rho: Representation):
     return basis
 
 
-def _is_scalar(field: Field, m: Matrix) -> bool:
-    sc = m.entry_scale()
-    d = m.data[0][0]
-    for i in range(m.n):
-        for j in range(m.n):
-            target = d if i == j else field.zero()
-            if not field.eq(m.data[i][j], target, sc):
-                return False
-    return True
+def _is_scalar(m: Matrix) -> bool:
+    return m == Matrix.identity(m.field, m.n).scale(m.data[0][0])
 
 
 def _poly_value(coeffs, x):
@@ -443,12 +427,18 @@ def invariant_subspace_candidates(rho: Representation):
     """Yield verified proper nonzero invariant subspaces, cheapest first.
 
     Layers: spins of standard and seeded probe vectors, the same for the
-    transposed generators (annihilators), the subspace moved by the
-    trace-form radical of the word algebra, and kernels of singular
-    non-scalar elements of the commutant.  Every candidate is re-verified before being yielded, so
-    unsound intermediate heuristics cannot leak wrong answers.  Nothing is
-    remembered between walks and nothing is deduplicated: a walk can yield
-    one subspace more than once.  The decisions read only the first
+    transposed generators (annihilators), J(A)V, and kernels of singular
+    non-scalar elements of the commutant.  J(A)V is the span of the columns
+    of the kernel K of the trace form (a, b) -> tr(ab) on the word algebra
+    A; K is an ideal, so K V is invariant.  In characteristic 0, K is the
+    Jacobson radical J(A) (Dickson), which is nonzero exactly when the tuple
+    is not completely reducible; then J(A)V is proper and nonzero, so in
+    exact arithmetic this layer certifies every non-cr tuple over Q.  Over
+    F_p(T), K can be larger than J(A) and K V can be all of V, so there it
+    certifies nothing.  Every candidate is re-verified before being
+    yielded, so unsound intermediate heuristics cannot leak wrong answers.
+    Nothing is remembered between walks and nothing is deduplicated: a walk
+    can yield one subspace more than once.  The decisions read only the first
     candidate (:func:`_first_invariant_subspace`).  A tuple whose word
     algebra is already built and spans all n x n matrices is absolutely
     irreducible (Burnside), so the walk yields nothing at once.
@@ -477,25 +467,22 @@ def invariant_subspace_candidates(rho: Representation):
             if got:
                 yield got
 
-    # structural layer: radical of the word algebra via the trace form
+    # structural layer: J(A)V, spanned by the columns of the trace-form kernel
     algebra = rho.word_algebra()
-    d = len(algebra)
-    if d < n * n:
+    if len(algebra) < n * n:
         gram = [[a.trace_of_product(b) for b in algebra] for a in algebra]
-        res = rref(field, gram)
-        for coeffs in res.kernel:
+        cols = []
+        for coeffs in rref(field, gram).kernel:
             jmat = Matrix.zeros(field, n)
             for c, a in zip(coeffs, algebra):
                 jmat = jmat + a.scale(c)
-            vecs = [jmat.apply(tuple(
-                field.one() if j == i else field.zero() for j in range(n)
-            )) for i in range(n)]
-            got = check(_canonical_rows(field, vecs))
-            if got:
-                yield got
+            cols.extend(jmat.transpose().data)
+        got = cols and check(_canonical_rows(field, cols))
+        if got:
+            yield got
 
         comm = intertwiner_space(rho, rho)
-        nonscalar = [c for c in comm if not _is_scalar(field, c)]
+        nonscalar = [c for c in comm if not _is_scalar(c)]
         for c in nonscalar:
             if field.is_zero(c.det(), c.entry_scale()):
                 got = check(_kernel_rows(field, c.data))
@@ -517,7 +504,7 @@ def invariant_subspace_candidates(rho: Representation):
                 cand = Matrix.zeros(field, n)
                 for co, c in zip(coeffs, grid_basis):
                     cand = cand + c.scale(co)
-                if _is_scalar(field, cand):
+                if _is_scalar(cand):
                     continue
                 if field.is_zero(cand.det(), cand.entry_scale()):
                     got = check(_kernel_rows(field, cand.data))
@@ -656,29 +643,20 @@ def composition_series(rho: Representation) -> InvariantFlag:
 
 
 def semisimplify(rho: Representation) -> Semisimplification:
-    """Project onto the block diagonal of a composition series.
+    """The Levi part of rho in the parabolic of its composition series.
 
-    The strictly upper blocks of the conjugated generators are zeroed and
-    the result is conjugated back, producing the completely reducible
-    representative lying in the closure of the conjugation orbit.
+    Each generator g becomes h L(h^-1 g h) h^-1, where h is the flag's basis
+    change and L keeps the diagonal blocks (:meth:`BlockStructure.diagonal_part`;
+    over R it drops the tolerance residue below them too).  Torus
+    contraction toward that Levi part puts the result, a completely
+    reducible representative, in the closure of the conjugation orbit.
     """
     flag = composition_series(rho)
     h = flag.basis_change
     hinv = h.inv()
-    bounds = _boundaries(flag.block_sizes)
-    field = rho.field
-    gens = {}
-    for s, m in rho.gens.items():
-        t = hinv * m * h
-        rows = [list(r) for r in t.data]
-        for bi, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            for i in range(lo, hi):
-                for j in range(hi, rho.n):
-                    rows[i][j] = field.zero()
-                for j in range(0, lo):
-                    rows[i][j] = field.zero()  # clean tolerance residue (real)
-        gens[s] = h * Matrix(field, tuple(tuple(r) for r in rows)) * hinv
-    return Semisimplification(flag=flag, rho_ss=Representation(field, gens))
+    levi = flag.blocks.diagonal_part
+    gens = {s: h * levi(hinv * m * h) * hinv for s, m in rho.gens.items()}
+    return Semisimplification(flag=flag, rho_ss=Representation(rho.field, gens))
 
 
 # ---------------------------------------------------------------------------

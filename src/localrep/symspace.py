@@ -351,14 +351,9 @@ def _flag_directions(rho: Representation, x: SPDPoint):
     h_cols = np.array(
         [[float(v) for v in row] for row in flag.basis_change.data], dtype=float
     )
+    q, _ = np.linalg.qr(x_inv_half @ h_cols)
     dirs = []
-    bounds = [0]
-    for s in flag.block_sizes:
-        bounds.append(bounds[-1] + s)
-    for step in range(1, len(flag.block_sizes)):
-        k = bounds[step]
-        m = x_inv_half @ h_cols
-        q, _ = np.linalg.qr(m)
+    for k in flag.blocks.boundaries[1:-1]:
         mu_top, mu_bot = float(n - k), float(-k)  # traceless two-level profile
         lam = np.array([mu_top] * k + [mu_bot] * (n - k))
         s_mat = (q * lam) @ q.T

@@ -105,6 +105,28 @@ class TestRun:
         assert code == 0
         assert payload["verdict"] is True and payload["blocks"] == [1, 1]
 
+    # (minus, plus, finest blocks): minus block lower, plus block upper, one Levi part
+    @pytest.mark.parametrize("minus, plus, blocks", [
+        ([[2, 0, 0, 0], [1, 1, 1, 0], [0, 1, 2, 0], [0, 0, 1, 3]],
+         [[2, 1, 0, 0], [0, 1, 1, 0], [0, 1, 2, 1], [0, 0, 0, 3]], [1, 2, 1]),
+        ([[1, 1, 0, 0], [1, 2, 0, 0], [1, 0, 2, 1], [0, 0, 1, 1]],
+         [[1, 1, 0, 1], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], [2, 2]),
+        ([[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1], [0, 0, 0, 2]],
+         [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1], [0, 0, 0, 2]], [4]),
+    ], ids=["1-2-1", "2-2", "4"])
+    def test_degenerate_infers_the_finest_blocks(self, tmp_path, minus, plus, blocks):
+        def rep4(rows):
+            return {"field": {"type": "padic", "p": 5}, "n": 4,
+                    "generators": {"a": [[str(x) for x in r] for r in rows]}}
+
+        job = JobSpec(command="degenerate",
+                      input=write(tmp_path, "m.json", rep4(minus)),
+                      input2=write(tmp_path, "p.json", rep4(plus)),
+                      imax=6)
+        code, payload = run(job)
+        assert code == 0
+        assert payload["blocks"] == blocks and payload["verdict"] is True
+
     def test_tree(self, tmp_path):
         treerep = {"field": {"type": "padic", "p": 5}, "n": 2,
                    "generators": {"a": [["1/5", "0"], ["0", "5"]]}}
@@ -190,6 +212,11 @@ class TestMainExitCodes:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr and message in proc.stderr
+
+    def test_bad_seed_is_2(self, tmp_path, capsys):
+        path = write(tmp_path, "r.json", TRIANGULAR)
+        assert main(["analyze", "--input", path, "--seed", "zz"]) == 2
+        assert "--seed must be a hex integer" in capsys.readouterr().err
 
     def test_singular_generator_is_3(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", {

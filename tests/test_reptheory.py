@@ -446,6 +446,31 @@ class TestThreeBlockSplitCorpus:
             assert sorted(flag.block_sizes) == sorted(sizes), seed
 
 
+NONSPLIT_SHAPES = ((Q5, (2, 1)), (Q5, (3, 1)), (Q5, (3, 2)), (Q5, (2, 1, 1)),
+                   (R, (2, 1)), (R, (3, 1)))
+
+
+class TestNonsplitCorpus:
+    """Non-split tuples with absolutely irreducible blocks, labelled by construction.
+
+    No probe spin need land in their invariant subspaces; J(A)V, the span of
+    the columns of the trace-form kernel, is one of them in characteristic 0.
+    """
+
+    @pytest.mark.parametrize("field, sizes", NONSPLIT_SHAPES,
+                             ids=["Q5-2-1", "Q5-3-1", "Q5-3-2", "Q5-2-1-1", "R-2-1", "R-3-1"])
+    def test_verdicts_and_blocks(self, field, sizes):
+        tag = "R" if field.is_real else "Q5"
+        for seed in range(30):
+            rng = random.Random(f"stress:{tag}:{sizes}:False:{seed}")
+            rho = block_tuple(field, rng, sizes, split=False)
+            assert is_nonparabolic(rho)[0] is False, seed
+            assert is_cr(rho) is False, seed
+            flag = composition_series(rho)
+            assert flag.verify(rho), seed
+            assert sorted(flag.block_sizes) == sorted(sizes), seed
+
+
 def _same_rows(field, a, b):
     """Equal row lists: exactly over the exact fields, up to the zero test over R."""
     if not field.is_real:
