@@ -9,7 +9,10 @@ the first entry that is not zero under ``Field.is_zero(x, scale)``, with
 exact fields and use the relative tolerance of :mod:`localrep.fields` over R.
 Over R this gives up partial pivoting on purpose: callers read each reduced
 row's pivot as its first nonzero entry, which the largest-entry rule does
-not keep.  Only :func:`smith_padic` eliminates on its own.
+not keep.  Two routines eliminate on their own: :func:`smith_padic`, which
+pivots on least valuation, and the block LDU of
+:func:`localrep.parabolic.levi_decompose`, which pivots on whole diagonal
+blocks.
 """
 
 from __future__ import annotations
@@ -68,6 +71,17 @@ class Matrix:
         return cls(field, tuple(
             tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n)
         ))
+
+    @classmethod
+    def block_diagonal(cls, field: Field, blocks) -> "Matrix":
+        """The square ``blocks`` down the diagonal, in order, zeros elsewhere."""
+        zero = field.zero()
+        n = sum(b.n for b in blocks)
+        rows, lo = [], 0
+        for b in blocks:
+            rows.extend((zero,) * lo + row + (zero,) * (n - lo - b.n) for row in b.data)
+            lo += b.n
+        return cls(field, rows)
 
     # -- basic structure --------------------------------------------------------
 

@@ -26,6 +26,14 @@ for every i as soon as r is invertible.  Both limits always hold: every
 ratio c_q/c_p (p < q) has |x| < 1 on R and v(x) >= 1 on exact fields,
 since |c_1| > ... > |c_k|.  So the verdict of :func:`build_neighbors` is
 the big-cell test alone.
+
+The same closed form, with the identity as left factor, gives
+base^-i g base^i - L(g) = sum_{p<q} (c_q/c_p)^i g[P, Q] for block upper
+triangular g with block diagonal part L(g).  :func:`_closed_form_terms` and
+:func:`_difference_table` are the only code that values these sums, for
+four users: :func:`build_neighbors`, :func:`contract_limit`,
+:func:`contract_unipotent` (through :func:`contract_limit`) and step (c) of
+:func:`localrep.tree.product_counterexample`.
 """
 
 from __future__ import annotations
@@ -132,7 +140,8 @@ class FundamentalSequence:
                 if not f.eq(m.data[i][i], c, sc):
                     raise NotParabolicError("base must be constant within blocks")
             cs.append(c)
-        mags = [f.abs_value(c) for c in cs]
+        # -v(c) orders |c| on the exact fields with no float to overflow
+        mags = [abs(c) if f.is_real else -f.valuation(c) for c in cs]
         if any(x <= y for x, y in zip(mags, mags[1:])):
             raise NotParabolicError("block magnitudes must strictly decrease")
 
@@ -290,6 +299,8 @@ class ContractReport:
 def contract_limit(g: Matrix, seq: FundamentalSequence, imax: int) -> ContractReport:
     """Track base^-i g base^i for i = 0..imax on a block upper triangular g.
 
+    Each tracked entry, a nonzero entry of g above the diagonal blocks, is
+    one term m x^i of the closed form (module docstring), in row-major order.
     Non-archimedean entries must gain valuation by an exact positive
     increment per step; real entries must decay geometrically.  The limit is
     the block diagonal (Levi) part.
@@ -298,89 +309,49 @@ def contract_limit(g: Matrix, seq: FundamentalSequence, imax: int) -> ContractRe
     if not blocks.is_block_triangular(g, "upper"):
         raise NotParabolicError("matrix is not block upper triangular")
     f = g.field
-    limit = blocks.diagonal_part(g)
-    b = blocks.boundaries
-    sc = g.entry_scale()
-
-    tracked = []
-    for bi in range(blocks.k):
-        for bj in range(bi + 1, blocks.k):
-            for i in range(b[bi], b[bi + 1]):
-                for j in range(b[bj], b[bj + 1]):
-                    if not f.is_zero(g.data[i][j], sc):
-                        tracked.append((i, j))
-
-    if not tracked:
-        return ContractReport(
-            verdict="CONVERGES_TO_LEVI", stationary=True, limit=limit,
-            entries=(), imax=imax, threshold_reached=True,
-        )
-
-    cs = [seq.base.data[r][r] for r in range(g.n)]
+    terms = _closed_form_terms(Matrix.identity(f, g.n), g, seq, by_row=False)
     entries = []
     converged = True
     threshold = True
-    for (i, j) in tracked:
-        if f.is_real:
-            vals = [abs(g.data[i][j] * (cs[j] / cs[i]) ** step) for step in range(imax + 1)]
-        else:
-            # one term: its valuation gains v(c_j/c_i) per step
-            v0, slope = f.valuation(g.data[i][j]), f.valuation(cs[j] / cs[i])
-            vals = [v0 + step * slope for step in range(imax + 1)]
+    for e in _difference_table(f, terms, imax, g.entry_scale()):
+        vals = e.values
         if f.is_real:
             incs = tuple(b2 / b1 for b1, b2 in zip(vals, vals[1:]))
-            entry_ok = all(r < 1.0 - 1e-12 for r in incs)
-            entry_thresh = vals[-1] <= REAL_LIMIT_TOLERANCE
+            converged = converged and all(r < 1.0 - 1e-12 for r in incs)
+            threshold = threshold and vals[-1] <= REAL_LIMIT_TOLERANCE
         else:
             incs = tuple(b2 - b1 for b1, b2 in zip(vals, vals[1:]))
-            entry_ok = all(d >= 1 for d in incs)
-            entry_thresh = vals[-1] >= VALUATION_THRESHOLD
-        converged = converged and entry_ok
-        threshold = threshold and entry_thresh
-        entries.append(EntryTrace(row=i, col=j, values=tuple(vals), increments=incs))
+            converged = converged and all(d >= 1 for d in incs)
+            threshold = threshold and vals[-1] >= VALUATION_THRESHOLD
+        entries.append(EntryTrace(row=e.row, col=e.col, values=vals, increments=incs))
 
     return ContractReport(
         verdict="CONVERGES_TO_LEVI" if converged else "NO_CONVERGENCE",
-        stationary=False,
-        limit=limit,
+        stationary=not entries,
+        limit=blocks.diagonal_part(g),
         entries=tuple(entries),
         imax=imax,
         threshold_reached=threshold,
     )
 
 
-def contract_unipotent(nseq, seq: FundamentalSequence,
-                       v_thresh: int = VALUATION_THRESHOLD,
-                       tol: float = REAL_LIMIT_TOLERANCE) -> bool:
+def contract_unipotent(nseq, seq: FundamentalSequence) -> bool:
     """Does base^-i n_i base^i reach the identity threshold by the last index?
 
     The list stands for a bounded sequence of block upper unitriangular
     matrices; unboundedness shows up as missing valuation growth and makes
-    the check fail.
+    the check fail.  Read off :func:`contract_limit` of the last member.
     """
     blocks = seq.blocks
     if not nseq:
         raise ValueError("empty sequence")
-    f = nseq[0].field
     for n_i in nseq:
         if not blocks.is_block_triangular(n_i, "upper"):
             raise NotUnipotentError("sequence member is not block upper triangular")
         if not blocks.diagonal_part(n_i).is_identity(n_i.entry_scale()):
             raise NotUnipotentError("sequence member is not unitriangular")
     last = len(nseq) - 1
-    conj = seq.conjugate_power(nseq[last], last)
-    for i in range(conj.n):
-        for j in range(conj.n):
-            if i == j:
-                continue
-            x = conj.data[i][j]
-            if f.is_real:
-                if abs(x) > tol:
-                    return False
-            else:
-                if f.valuation(x) < v_thresh:
-                    return False
-    return True
+    return contract_limit(nseq[last], seq, last).threshold_reached
 
 
 # ---------------------------------------------------------------------------

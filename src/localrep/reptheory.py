@@ -87,7 +87,7 @@ class Representation:
         self.n = n
         self.gens = mats
         self._inverses = None
-        # "algebra", ("first", seed) or ("split", rows) -> built value
+        # "algebra", ("first", seed), ("split", rows), ("series", seed) -> built value
         self._derived = {}
 
     @classmethod
@@ -526,26 +526,22 @@ def _first_invariant_subspace(rho: Representation):
                        lambda: next(invariant_subspace_candidates(rho), None))
 
 
-def _single_step_flag(rho: Representation, rows) -> InvariantFlag:
-    basis = _adapted_basis_matrix(rho.field, rows, rho.n)
-    return InvariantFlag(basis_change=basis, block_sizes=(len(rows), rho.n - len(rows)))
-
-
 def is_nonparabolic(rho: Representation):
     """Decide irreducibility of the linear action.
 
     Returns ``(True, None)`` when no proper nonzero invariant subspace
     exists, otherwise ``(False, flag)`` with a verified single-step invariant
-    flag as certificate: the first certified subspace,
-    :func:`_first_invariant_subspace`.  "Irreducible" means that the whole
-    battery came up empty; the battery skips its layers only for a tuple
-    whose word algebra was already built and found to span all n x n
-    matrices.
+    flag as certificate: the adapted basis of the tuple's split
+    (:meth:`Representation.split`, which checks invariance) at the first
+    certified subspace, :func:`_first_invariant_subspace`.  "Irreducible"
+    means that the whole battery came up empty; the battery skips its layers
+    only for a tuple whose word algebra was already built and found to span
+    all n x n matrices.
     """
     rows = _first_invariant_subspace(rho)
     if rows is None:
         return True, None
-    return False, _single_step_flag(rho, rows)
+    return False, InvariantFlag(rho.split(rows).basis, (len(rows), rho.n - len(rows)))
 
 
 def _sylvester_rows(field: Field, pairs, p: int, q: int) -> list:
@@ -597,7 +593,7 @@ def has_invariant_complement(rho: Representation, rows):
 def is_cr(rho: Representation) -> bool:
     """Complete reducibility: the module splits as a direct sum of irreducibles.
 
-    Recursive splitting test on the split tree of :func:`composition_series`:
+    Recursive splitting test on the split tree of :func:`_series`:
     an irreducible module is completely reducible; otherwise, at the first
     certified invariant subspace W (the certificate of
     :func:`is_nonparabolic`), W must have an invariant complement
@@ -612,32 +608,37 @@ def is_cr(rho: Representation) -> bool:
     return split.complement() is not None and is_cr(split.sub) and is_cr(split.quot)
 
 
-def composition_series(rho: Representation) -> InvariantFlag:
-    """A full composition series as an invariant flag.
+def _series(rho: Representation):
+    """``(h, leaves)``: a composition series of rho and its factors, built once.
 
     Splits V at the first certified invariant subspace W and refines both
     ends: by Jordan-Hoelder, a composition series of W followed by the lift
-    of one of V/W is one of V.  The conjugated generators come out block
-    upper triangular with irreducible diagonal blocks, in the order the
-    splits find them, not by size.
+    of one of V/W is one of V.  So h = b blockdiag(h_W, h_{V/W}) for the
+    split's adapted basis b.  The leaves, the irreducible tuples at the ends
+    of the split tree in the order the splits find them, are exactly the
+    diagonal blocks of h^-1 g h.
     """
-    field, n = rho.field, rho.n
-    rows = _first_invariant_subspace(rho)
-    if rows is None:
-        return InvariantFlag(Matrix.identity(field, n), (n,))
-    k = len(rows)
-    split = rho.split(rows)
-    low = composition_series(split.sub)
-    high = composition_series(split.quot)
-    # h = basis * blockdiag(h_W, h_{V/W})
-    blk = [[field.zero()] * n for _ in range(n)]
-    for i in range(k):
-        blk[i][:k] = low.basis_change.data[i]
-    for i in range(n - k):
-        blk[k + i][k:] = high.basis_change.data[i]
-    h = split.basis * Matrix(field, tuple(tuple(r) for r in blk))
-    flag = InvariantFlag(h, low.block_sizes + high.block_sizes)
-    if not flag.verify(rho):
+    def build():
+        rows = _first_invariant_subspace(rho)
+        if rows is None:
+            return Matrix.identity(rho.field, rho.n), (rho,)
+        split = rho.split(rows)
+        low, low_leaves = _series(split.sub)
+        high, high_leaves = _series(split.quot)
+        return split.basis * Matrix.block_diagonal(rho.field, (low, high)), low_leaves + high_leaves
+
+    return rho._derive(("series", _active_seed.get()), build)
+
+
+def composition_series(rho: Representation) -> InvariantFlag:
+    """A full composition series as an invariant flag, verified once.
+
+    The basis change and block sizes of :func:`_series`.  The one-block
+    flag of an irreducible tuple is the identity and needs no check.
+    """
+    h, leaves = _series(rho)
+    flag = InvariantFlag(h, tuple(leaf.n for leaf in leaves))
+    if len(leaves) > 1 and not flag.verify(rho):
         raise NotInvariantError("composition series failed verification")
     return flag
 
@@ -645,17 +646,18 @@ def composition_series(rho: Representation) -> InvariantFlag:
 def semisimplify(rho: Representation) -> Semisimplification:
     """The Levi part of rho in the parabolic of its composition series.
 
-    Each generator g becomes h L(h^-1 g h) h^-1, where h is the flag's basis
-    change and L keeps the diagonal blocks (:meth:`BlockStructure.diagonal_part`;
-    over R it drops the tolerance residue below them too).  Torus
-    contraction toward that Levi part puts the result, a completely
-    reducible representative, in the closure of the conjugation orbit.
+    Each generator g becomes h blockdiag(leaf generators) h^-1, with h and
+    the leaves from :func:`_series`: the leaves are the diagonal blocks of
+    h^-1 g h, so no h^-1 g h is formed.  Torus contraction toward that Levi
+    part puts the result, a completely reducible representative, in the
+    closure of the conjugation orbit.
     """
     flag = composition_series(rho)
+    _, leaves = _series(rho)
     h = flag.basis_change
     hinv = h.inv()
-    levi = flag.blocks.diagonal_part
-    gens = {s: h * levi(hinv * m * h) * hinv for s, m in rho.gens.items()}
+    gens = {s: h * Matrix.block_diagonal(rho.field, [leaf.gens[s] for leaf in leaves]) * hinv
+            for s in rho.symbols}
     return Semisimplification(flag=flag, rho_ss=Representation(rho.field, gens))
 
 

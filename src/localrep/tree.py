@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import BadParameterError, PrimeMismatchError
 from .fields import Field
 from .linalg import Matrix
-from .parabolic import VALUATION_THRESHOLD
+from .parabolic import VALUATION_THRESHOLD, BlockStructure, FundamentalSequence, contract_limit
 from .reptheory import Representation, is_cr
 
 
@@ -225,8 +225,9 @@ class CounterexampleReport:
     finds a vertex fixed by the unipotent factor and checks the displacement
     minimum over the stable line times that vertex; part (b) checks that the
     unipotent factor is not completely reducible as a linear action; part
-    (c) conjugates the second factor by diag(t^-i, t^i) and certifies the
-    degeneration onto (diag(t, 1/t), identity) by exact valuation growth.
+    (c) conjugates both factors by diag(t^-i, t^i) and certifies the
+    degeneration onto (diag(t, 1/t), identity) by exact valuation growth,
+    read off :func:`localrep.parabolic.contract_limit`'s closed form.
     """
 
     p: int
@@ -302,17 +303,13 @@ def product_counterexample(p: int, t, imax: int = 12, radius: int = 4) -> Counte
     cr2 = is_cr(rep2)
     verdict_b = cr2 is False
 
-    # (c) conjugating by diag(t^-i, t^i) sends the off-diagonal entry to
-    # high valuation linearly while fixing the diagonal factor exactly
-    vals = []
-    diag_fixed = True
-    for i in range(imax + 1):
-        b_i = Matrix.from_rows(field, [[t ** -i, 0], [0, t ** i]])
-        conj2 = b_i * g2 * b_i.inv()
-        vals.append(field.valuation(conj2.data[0][1]))
-        if b_i * g1 * b_i.inv() != g1:
-            diag_fixed = False
-    increments = tuple(b - a for a, b in zip(vals, vals[1:]))
+    # (c) base = diag(t, 1/t): base^-i g2 base^i has corner t^(1-2i), whose
+    # valuation (2i - 1)|v(t)| is read off the closed form; g1 is diagonal,
+    # so it is stationary
+    seq = FundamentalSequence(BlockStructure(2, (1, 1)), Matrix.diagonal(field, [t, 1 / t]))
+    corner = contract_limit(g2, seq, imax).entries[0]
+    vals, increments = corner.values, corner.increments
+    diag_fixed = contract_limit(g1, seq, imax).stationary
     exceeds = vals[-1] > VALUATION_THRESHOLD
     verdict_c = (
         all(inc == 2 * v_abs for inc in increments) and exceeds and diag_fixed

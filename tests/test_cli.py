@@ -348,7 +348,9 @@ class TestHostileInputCost:
         assert payload["verdict"] is True
         assert payload["fixed_vertex_distance"] == 999
         assert payload["translation_length"] == 1998
-        assert len(payload["valuation_sequence"]) == imax + 1
+        # base^-i g2 base^i has corner t^(1-2i), of valuation 999 (2i - 1)
+        assert payload["valuation_sequence"] == [999 * (2 * i - 1) for i in range(imax + 1)]
+        assert payload["increments"] == [1998] * imax
 
     def test_counterexample_huge_prime(self):
         payload = self.report("counterexample", "--p", str(BIG_P), "--t", f"1/{BIG_P}")

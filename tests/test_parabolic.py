@@ -182,6 +182,13 @@ class TestFundamentalSequence:
         with pytest.raises(NotParabolicError):
             FundamentalSequence(B11, Matrix.from_rows(Q5, [["1/5", 1], [0, 1]]))
 
+    def test_orders_magnitudes_by_valuation(self):
+        # |5^-500| = 5^500 overflows a float; |5^470| and |5^480| underflow to 0.0
+        FundamentalSequence(B11, Matrix.diagonal(Q5, [Fraction(1, 5 ** 500), 1]))
+        FundamentalSequence(B11, Matrix.diagonal(Q5, [5 ** 470, 5 ** 480]))
+        with pytest.raises(NotParabolicError):
+            FundamentalSequence(B11, Matrix.diagonal(Q5, [5 ** 480, 5 ** 470]))
+
 
 class TestContractLimit:
     def test_unit_increment_example(self):
@@ -213,6 +220,35 @@ class TestContractLimit:
         seq = FundamentalSequence.default(B11, Q5)
         with pytest.raises(NotParabolicError):
             contract_limit(Matrix.from_rows(Q5, [[1, 0], [1, 1]]), seq, 3)
+
+    @pytest.mark.parametrize("field", [Q5, F3, R], ids=["Q5", "F3T", "R"])
+    @pytest.mark.parametrize("sizes", [(1, 2, 1), (2, 1, 1)], ids=["1-2-1", "2-1-1"])
+    def test_matches_brute_force(self, field, sizes):
+        """Tracked entries and values against base^-i g base^i formed entry by entry."""
+        blocks = BlockStructure(4, sizes)
+        seq = FundamentalSequence.default(blocks, field)
+        owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+        choices = ([0, 0, 1, -1, 2, -3] if field.kind != "funcfield"
+                   else ["0", "1", "2", "T", "T+1", "2*T+1"])
+        rng = random.Random(f"contract:{field.kind}:{sizes}")
+        imax = 6
+        for _ in range(12):
+            g = Matrix.from_rows(field, [
+                [rng.choice(choices) if owner[i] <= owner[j] else 0 for j in range(4)]
+                for i in range(4)])
+            rpt = contract_limit(g, seq, imax)
+            tracked = [(i, j) for i in range(4) for j in range(4)
+                       if owner[i] < owner[j] and not field.is_zero(g.data[i][j])]
+            assert [(e.row, e.col) for e in rpt.entries] == tracked
+            assert rpt.stationary == (not tracked)
+            assert rpt.verdict == "CONVERGES_TO_LEVI"
+            assert rpt.limit == blocks.diagonal_part(g)
+            for e in rpt.entries:
+                brute = [seq.conjugate_power(g, i).data[e.row][e.col] for i in range(imax + 1)]
+                if field.is_real:
+                    assert list(e.values) == pytest.approx([abs(x) for x in brute], rel=1e-12)
+                else:
+                    assert list(e.values) == [field.valuation(x) for x in brute]
 
     def test_matches_semisimplification(self, exact_corpus):
         """The conjugation limit is the block-diagonal reduction, entry for entry."""

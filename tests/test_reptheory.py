@@ -246,6 +246,20 @@ class TestSemisimplify:
             twice = semisimplify(once).rho_ss
             assert are_conjugate_ss(once, twice, check_cr=False) is True, entry.name
 
+    def test_is_the_levi_part_of_the_flag(self, exact_corpus, floor_corpus):
+        """rho_ss is h L(h^-1 g h) h^-1, L the flag's block diagonal part, exactly."""
+        corpus = ([(e.name, e.rep) for e in exact_corpus] + list(floor_corpus)
+                  + [(name, rho) for name, _, rho in _three_block_corpus(range(10))])
+        for name, rho in corpus:
+            if rho.field.is_real:
+                continue
+            ss = semisimplify(rho)
+            h = ss.flag.basis_change
+            hinv = h.inv()
+            for s, m in rho.gens.items():
+                levi = h * ss.flag.blocks.diagonal_part(hinv * m * h) * hinv
+                assert ss.rho_ss.gens[s].data == levi.data, name
+
     def test_word_traces_preserved(self, exact_corpus):
         for entry in exact_corpus[:10] + exact_corpus[30:40]:
             rho = entry.rep
@@ -321,6 +335,12 @@ NONSPLIT_COMPANION = ({"a": [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1,
                       [[1, 2, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [2, 1, 0, 1]])
 
 
+def _single_step_flag(rho, rows):
+    """The flag of the adapted basis at the invariant ``rows``, built from scratch."""
+    basis = reptheory._adapted_basis_matrix(rho.field, rows, rho.n)
+    return reptheory.InvariantFlag(basis, (len(rows), rho.n - len(rows)))
+
+
 def _conjugated(field, case):
     gens, h = case
     return rep(field, gens).conjugate_by(Matrix.from_rows(field, h))
@@ -361,7 +381,7 @@ class TestBatteryMemo:
             for seed, rows in ((PROBE_SEED, default), (1, other)):
                 with probe_seed(seed):
                     ok, flag = is_nonparabolic(rho)
-                    assert not ok and flag == reptheory._single_step_flag(rho, rows)
+                    assert not ok and flag == _single_step_flag(rho, rows)
                     series = composition_series(rho)
                     assert (series.basis_change, series.block_sizes) == _oracle_series(rho)
 
@@ -379,7 +399,7 @@ class TestBatteryMemo:
                 decide(rho)
         monkeypatch.undo()
         ok, flag = is_nonparabolic(rho)
-        assert not ok and flag == reptheory._single_step_flag(rho, expected)
+        assert not ok and flag == _single_step_flag(rho, expected)
         assert not is_cr(rho)
         assert composition_series(rho).block_sizes == (2, 2)
 
