@@ -9,7 +9,6 @@ from .reptheory import (
     Semisimplification,
     are_conjugate_ss,
     composition_series,
-    has_invariant_complement,
     is_cr,
     is_nonparabolic,
     probe_seed,
@@ -46,9 +45,8 @@ __all__ = [
     "Field", "FpPoly", "FpRat", "INFINITY", "valuation",
     "Matrix", "rref", "smith_padic", "solve_linear",
     "InvariantFlag", "Representation", "Semisimplification",
-    "are_conjugate_ss", "composition_series", "has_invariant_complement",
-    "is_cr", "is_nonparabolic", "probe_seed", "semisimplify", "spin",
-    "trace_fingerprint",
+    "are_conjugate_ss", "composition_series", "is_cr", "is_nonparabolic",
+    "probe_seed", "semisimplify", "spin", "trace_fingerprint",
     "BlockStructure", "FundamentalSequence", "build_neighbors",
     "contract_limit", "contract_unipotent", "levi_decompose", "levi_project",
     "ATTAINED", "DIVERGED", "MAXITER", "DisplacementReport", "SPDPoint",

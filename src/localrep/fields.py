@@ -595,14 +595,6 @@ class Field:
             return 0
         return x.valuation
 
-    def abs_value(self, x) -> float:
-        if self.kind == "real":
-            return abs(x)
-        v = self.valuation(x)
-        if v is INFINITY or v == INFINITY:
-            return 0.0
-        return float(self.p) ** (-v)
-
     def uniformizer(self):
         """An element of valuation exactly 1 (p, resp. T)."""
         if self.kind == "real":

@@ -180,10 +180,6 @@ class Matrix:
     def inv(self) -> "Matrix":
         return Matrix(self.field, _inverse(self.field, self.data))
 
-    def conjugate_by(self, h: "Matrix") -> "Matrix":
-        """h^-1 * self * h."""
-        return h.inv() * self * h
-
     def is_identity(self, scale: float | None = None) -> bool:
         sc = self.entry_scale() if scale is None else scale
         f = self.field

@@ -266,7 +266,7 @@ class EntryTrace:
     row: int
     col: int
     values: tuple        # valuations (exact fields) or magnitudes (real)
-    increments: tuple    # consecutive differences (exact) or ratios (real)
+    increments: tuple    # per step: v(x) (exact) or |x| (real) of the entry's ratio x
 
 
 @dataclass(frozen=True)
@@ -300,27 +300,29 @@ def contract_limit(g: Matrix, seq: FundamentalSequence, imax: int) -> ContractRe
     """Track base^-i g base^i for i = 0..imax on a block upper triangular g.
 
     Each tracked entry, a nonzero entry of g above the diagonal blocks, is
-    one term m x^i of the closed form (module docstring), in row-major order.
-    Non-archimedean entries must gain valuation by an exact positive
-    increment per step; real entries must decay geometrically.  The limit is
-    the block diagonal (Levi) part.
+    one term m x^i of the closed form (module docstring), in row-major order,
+    with x from the blocks of its row and column.  So its increment per step
+    is read off x alone: v(x) on exact fields, which must be positive, and
+    |x| on R, which must be below 1.  The limit is the block diagonal (Levi)
+    part.
     """
     blocks = seq.blocks
     if not blocks.is_block_triangular(g, "upper"):
         raise NotParabolicError("matrix is not block upper triangular")
     f = g.field
     terms = _closed_form_terms(Matrix.identity(f, g.n), g, seq, by_row=False)
+    ratios = {(row, col): ts[0][1] for row, col, ts in terms if ts}
     entries = []
     converged = True
     threshold = True
     for e in _difference_table(f, terms, imax, g.entry_scale()):
-        vals = e.values
+        vals, x = e.values, ratios[(e.row, e.col)]
         if f.is_real:
-            incs = tuple(b2 / b1 for b1, b2 in zip(vals, vals[1:]))
+            incs = (abs(x),) * imax
             converged = converged and all(r < 1.0 - 1e-12 for r in incs)
             threshold = threshold and vals[-1] <= REAL_LIMIT_TOLERANCE
         else:
-            incs = tuple(b2 - b1 for b1, b2 in zip(vals, vals[1:]))
+            incs = (f.valuation(x),) * imax
             converged = converged and all(d >= 1 for d in incs)
             threshold = threshold and vals[-1] >= VALUATION_THRESHOLD
         entries.append(EntryTrace(row=e.row, col=e.col, values=vals, increments=incs))

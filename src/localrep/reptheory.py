@@ -7,16 +7,17 @@ reducibility (the module is a direct sum of irreducibles), computes a full
 composition series and the associated semisimplification, and tests
 simultaneous conjugacy of semisimple tuples.
 
-All three module-structure decisions read one thing: the first invariant
-subspace W the search certifies, built once per tuple and probe seed, and
-the split of the tuple there, built once per W (:func:`split_at`).  The
-split conjugates by one adapted basis, so each generator becomes
-[[A, B], [0, D]].  The composition series refines the A tuple (rho|_W) and
-the D tuple (rho_{V/W}); complete reducibility asks whether A X - X D = B
-is solvable and recurses on the same two tuples, so both questions share
-one split tree and each battery runs once.  Spins and the word algebra
-close under the generators alone: in finite dimension m(U) in U gives
-m^-1(U) = U, and m^-1 lies in K[m] (Cayley-Hamilton).
+All three module-structure decisions read one thing: the tuple's split
+(:func:`split_at`) at the first invariant subspace W the search certifies,
+built once per tuple and probe seed (:func:`_split`).  The split
+conjugates by one adapted basis b, kept with its inverse, so each
+generator becomes [[A, B], [0, D]].  The composition series refines the A
+tuple (rho|_W) and the D tuple (rho_{V/W}), and carries h^-1 down the
+same tree; complete reducibility asks whether A X - X D = B is solvable
+and recurses on the same two tuples, so both questions share one split
+tree and each battery runs once.  Spins and the word algebra close under
+the generators alone: in finite dimension m(U) in U gives m^-1(U) = U, and
+m^-1 lies in K[m] (Cayley-Hamilton).
 
 Every negative verdict is certified: routines that report a reducible module
 return an invariant flag whose invariance is re-verified exactly before it is
@@ -87,7 +88,7 @@ class Representation:
         self.n = n
         self.gens = mats
         self._inverses = None
-        # "algebra", ("first", seed), ("split", rows), ("series", seed) -> built value
+        # "algebra", ("split", seed), ("series", seed) -> built value
         self._derived = {}
 
     @classmethod
@@ -111,10 +112,6 @@ class Representation:
     def word_algebra(self) -> list:
         """:func:`word_algebra_basis` of this tuple, built once."""
         return self._derive("algebra", lambda: word_algebra_basis(self))
-
-    def split(self, rows) -> "Split":
-        """:func:`split_at` the invariant canonical ``rows``, built once per rows."""
-        return self._derive(("split", rows), lambda: split_at(self, rows))
 
     def conjugate_by(self, h: Matrix) -> "Representation":
         hinv = h.inv()
@@ -170,12 +167,13 @@ class Split:
     """A tuple conjugated by an adapted basis b of an invariant subspace W.
 
     The first ``sub.n`` columns of ``basis`` span W, so b^-1 g b is
-    [[A, B], [0, D]] for every generator g: ``sub`` is the A tuple (rho|_W),
-    ``quot`` the D tuple (rho_{V/W}) and ``off`` maps each symbol to the
-    rows of its B.
+    [[A, B], [0, D]] for every generator g, with b^-1 = ``inverse``:
+    ``sub`` is the A tuple (rho|_W), ``quot`` the D tuple (rho_{V/W}) and
+    ``off`` maps each symbol to the rows of its B.
     """
 
     basis: Matrix
+    inverse: Matrix
     sub: Representation
     off: dict
     quot: Representation
@@ -276,7 +274,7 @@ def split_at(rho: Representation, rows) -> Split:
         sub[s] = Matrix(field, (row[:k] for row in t.data[:k]))
         off[s] = tuple(row[k:] for row in t.data[:k])
         quot[s] = Matrix(field, (row[k:] for row in t.data[k:]))
-    return Split(basis, Representation(field, sub), off, Representation(field, quot))
+    return Split(basis, binv, Representation(field, sub), off, Representation(field, quot))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +436,8 @@ def invariant_subspace_candidates(rho: Representation):
     certifies nothing.  Every candidate is re-verified before being
     yielded, so unsound intermediate heuristics cannot leak wrong answers.
     Nothing is remembered between walks and nothing is deduplicated: a walk
-    can yield one subspace more than once.  The decisions read only the first
-    candidate (:func:`_first_invariant_subspace`).  A tuple whose word
+    can yield one subspace more than once.  The decisions read only the
+    split at the first candidate (:func:`_split`).  A tuple whose word
     algebra is already built and spans all n x n matrices is absolutely
     irreducible (Burnside), so the walk yields nothing at once.
     """
@@ -512,8 +510,9 @@ def invariant_subspace_candidates(rho: Representation):
                         yield got
 
 
-def _first_invariant_subspace(rho: Representation):
-    """The first candidate of :func:`invariant_subspace_candidates`, or None.
+def _split(rho: Representation):
+    """The tuple's :class:`Split` at the first candidate of
+    :func:`invariant_subspace_candidates`, or None when there is none.
 
     Built once per tuple and probe seed, and the only thing the decisions
     below read.  A battery that raises caches nothing, so a failure is
@@ -522,8 +521,12 @@ def _first_invariant_subspace(rho: Representation):
     """
     if rho.n == 1:
         return None
-    return rho._derive(("first", _active_seed.get()),
-                       lambda: next(invariant_subspace_candidates(rho), None))
+
+    def build():
+        rows = next(invariant_subspace_candidates(rho), None)
+        return None if rows is None else split_at(rho, rows)
+
+    return rho._derive(("split", _active_seed.get()), build)
 
 
 def is_nonparabolic(rho: Representation):
@@ -531,17 +534,16 @@ def is_nonparabolic(rho: Representation):
 
     Returns ``(True, None)`` when no proper nonzero invariant subspace
     exists, otherwise ``(False, flag)`` with a verified single-step invariant
-    flag as certificate: the adapted basis of the tuple's split
-    (:meth:`Representation.split`, which checks invariance) at the first
-    certified subspace, :func:`_first_invariant_subspace`.  "Irreducible"
-    means that the whole battery came up empty; the battery skips its layers
-    only for a tuple whose word algebra was already built and found to span
-    all n x n matrices.
+    flag as certificate: the adapted basis of the tuple's split at the
+    first certified subspace (:func:`_split`; :func:`split_at` checks
+    invariance).  "Irreducible" means that the whole battery came up empty;
+    the battery skips its layers only for a tuple whose word algebra was
+    already built and found to span all n x n matrices.
     """
-    rows = _first_invariant_subspace(rho)
-    if rows is None:
+    split = _split(rho)
+    if split is None:
         return True, None
-    return False, InvariantFlag(rho.split(rows).basis, (len(rows), rho.n - len(rows)))
+    return False, InvariantFlag(split.basis, (split.sub.n, split.quot.n))
 
 
 def _sylvester_rows(field: Field, pairs, p: int, q: int) -> list:
@@ -563,33 +565,6 @@ def _sylvester_rows(field: Field, pairs, p: int, q: int) -> list:
     return rows
 
 
-def has_invariant_complement(rho: Representation, rows):
-    """Feasibility of an equivariant projector onto the invariant ``rows``.
-
-    Returns ``(True, projector)`` when the subspace splits off, else
-    ``(False, None)``, read off :meth:`Split.complement` of the tuple's
-    split at the canonical form of ``rows``, which raises
-    :class:`NotInvariantError` for rows that are not invariant.  The
-    projector satisfies ``p g = g p`` for every generator ``g``, fixes the
-    subspace pointwise and has image inside it, so its kernel is the
-    invariant complement.
-    """
-    field = rho.field
-    rows = _canonical_rows(field, rows)
-    n, k = rho.n, len(rows)
-    if k == n or k == 0:
-        return True, Matrix.identity(field, n) if k == n else Matrix.zeros(field, n)
-    split = rho.split(rows)
-    sol = split.complement()
-    if sol is None:
-        return False, None
-    # projector in the adapted basis: [[I, X], [0, 0]]
-    q = n - k
-    ident = Matrix.identity(field, k).data
-    proj = [ident[i] + sol[i * q:(i + 1) * q] for i in range(k)] + [(field.zero(),) * n] * q
-    return True, split.basis * Matrix(field, proj) * split.basis.inv()
-
-
 def is_cr(rho: Representation) -> bool:
     """Complete reducibility: the module splits as a direct sum of irreducibles.
 
@@ -601,31 +576,33 @@ def is_cr(rho: Representation) -> bool:
     A complement is isomorphic to V/W, so no complement tuple is built.
     Characteristic-free.
     """
-    rows = _first_invariant_subspace(rho)
-    if rows is None:
+    split = _split(rho)
+    if split is None:
         return True
-    split = rho.split(rows)
     return split.complement() is not None and is_cr(split.sub) and is_cr(split.quot)
 
 
 def _series(rho: Representation):
-    """``(h, leaves)``: a composition series of rho and its factors, built once.
+    """``(h, h^-1, leaves)``: a composition series of rho and its factors, built once.
 
     Splits V at the first certified invariant subspace W and refines both
     ends: by Jordan-Hoelder, a composition series of W followed by the lift
     of one of V/W is one of V.  So h = b blockdiag(h_W, h_{V/W}) for the
-    split's adapted basis b.  The leaves, the irreducible tuples at the ends
-    of the split tree in the order the splits find them, are exactly the
-    diagonal blocks of h^-1 g h.
+    split's adapted basis b, and h^-1 = blockdiag(h_W^-1, h_{V/W}^-1) b^-1
+    from the inverses the splits already hold.  The leaves, the irreducible
+    tuples at the ends of the split tree in the order the splits find them,
+    are exactly the diagonal blocks of h^-1 g h.
     """
     def build():
-        rows = _first_invariant_subspace(rho)
-        if rows is None:
-            return Matrix.identity(rho.field, rho.n), (rho,)
-        split = rho.split(rows)
-        low, low_leaves = _series(split.sub)
-        high, high_leaves = _series(split.quot)
-        return split.basis * Matrix.block_diagonal(rho.field, (low, high)), low_leaves + high_leaves
+        field, split = rho.field, _split(rho)
+        if split is None:
+            ident = Matrix.identity(field, rho.n)
+            return ident, ident, (rho,)
+        low, low_inv, low_leaves = _series(split.sub)
+        high, high_inv, high_leaves = _series(split.quot)
+        return (split.basis * Matrix.block_diagonal(field, (low, high)),
+                Matrix.block_diagonal(field, (low_inv, high_inv)) * split.inverse,
+                low_leaves + high_leaves)
 
     return rho._derive(("series", _active_seed.get()), build)
 
@@ -636,7 +613,7 @@ def composition_series(rho: Representation) -> InvariantFlag:
     The basis change and block sizes of :func:`_series`.  The one-block
     flag of an irreducible tuple is the identity and needs no check.
     """
-    h, leaves = _series(rho)
+    h, _, leaves = _series(rho)
     flag = InvariantFlag(h, tuple(leaf.n for leaf in leaves))
     if len(leaves) > 1 and not flag.verify(rho):
         raise NotInvariantError("composition series failed verification")
@@ -646,16 +623,14 @@ def composition_series(rho: Representation) -> InvariantFlag:
 def semisimplify(rho: Representation) -> Semisimplification:
     """The Levi part of rho in the parabolic of its composition series.
 
-    Each generator g becomes h blockdiag(leaf generators) h^-1, with h and
-    the leaves from :func:`_series`: the leaves are the diagonal blocks of
-    h^-1 g h, so no h^-1 g h is formed.  Torus contraction toward that Levi
-    part puts the result, a completely reducible representative, in the
-    closure of the conjugation orbit.
+    Each generator g becomes h blockdiag(leaf generators) h^-1, with h, h^-1
+    and the leaves from :func:`_series`: the leaves are the diagonal blocks
+    of h^-1 g h, so no h^-1 g h is formed and nothing is inverted.  Torus
+    contraction toward that Levi part puts the result, a completely
+    reducible representative, in the closure of the conjugation orbit.
     """
     flag = composition_series(rho)
-    _, leaves = _series(rho)
-    h = flag.basis_change
-    hinv = h.inv()
+    h, hinv, leaves = _series(rho)
     gens = {s: h * Matrix.block_diagonal(rho.field, [leaf.gens[s] for leaf in leaves]) * hinv
             for s in rho.symbols}
     return Semisimplification(flag=flag, rho_ss=Representation(rho.field, gens))
@@ -716,21 +691,15 @@ def trace_fingerprint(rho: Representation, max_len: int) -> tuple:
     for s in rho.symbols:
         letters[(s, 1)] = _cleared(rho.gens[s])
         letters[(s, -1)] = _cleared(rho.inverses()[s])
-    alphabet = list(letters)
-    frontier = [((letter,),) + letters[letter] for letter in alphabet]
-    traces = [_trace(m, d) for _, m, d in frontier]
-    for _ in range(max_len - 1):
-        nxt = []
-        for word, m, d in frontier:
-            last = word[-1]
-            for letter in alphabet:
-                if letter[0] == last[0] and letter[1] == -last[1]:
-                    continue
-                lm, ld = letters[letter]
-                nm, nd = m * lm, None if d is None else d * ld
-                nxt.append((word + (letter,), nm, nd))
-                traces.append(_trace(nm, nd))
-        frontier = nxt
+    products = {}  # word -> (P, d) of its product
+    traces = []
+    for word in iter_reduced_words(rho.symbols, max_len):
+        m, d = letters[word[-1]]
+        if len(word) > 1:
+            pm, pd = products[word[:-1]]
+            m, d = pm * m, None if pd is None else pd * d
+        products[word] = m, d
+        traces.append(_trace(m, d))
     return tuple(traces)
 
 

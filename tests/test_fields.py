@@ -30,11 +30,6 @@ class TestValuation:
         with pytest.raises(RealHasNoValuation):
             R.valuation(1.5)
 
-    def test_abs_value(self):
-        assert Q5.abs_value(Fraction(50)) == 5.0 ** -2
-        assert Q5.abs_value(Fraction(0)) == 0.0
-        assert R.abs_value(-2.5) == 2.5
-
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4

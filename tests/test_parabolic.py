@@ -171,8 +171,9 @@ class TestLeviProject:
 class TestFundamentalSequence:
     def test_default_profile(self):
         seq = FundamentalSequence.default(BlockStructure(3, (1, 2)), Q5)
-        mags = [Q5.abs_value(seq.base.data[i][i]) for i in range(3)]
-        assert mags[0] > mags[1] == mags[2]
+        # |c| = 5^-v(c): the first block is the largest
+        vals = [Q5.valuation(seq.base.data[i][i]) for i in range(3)]
+        assert vals[0] < vals[1] == vals[2]
 
     def test_rejects_flat_profile(self):
         with pytest.raises(NotParabolicError):
@@ -212,9 +213,19 @@ class TestContractLimit:
         rpt = contract_limit(g, seq, 20)
         assert rpt.verdict == "CONVERGES_TO_LEVI"
         assert abs(rpt.entries[0].values[-1] - 2.0 ** -20) < 1e-18
+        assert rpt.entries[0].increments == (0.5,) * 20
         final = seq.conjugate_power(g, 20)
         assert abs(final.data[0][1]) < 1e-5
         assert final.data[0][0] == 2.0 and final.data[1][1] == 3.0
+
+    def test_real_magnitude_underflow(self):
+        # (1e-200)^2 underflows to 0.0; each increment is |x| = 1e-200 itself
+        seq = FundamentalSequence(B11, Matrix.diagonal(R, [1.0, 1e-200]))
+        g = Matrix.from_rows(R, [[1.0, 1.0], [0.0, 1.0]])
+        rpt = contract_limit(g, seq, 4)
+        assert rpt.verdict == "CONVERGES_TO_LEVI" and rpt.threshold_reached
+        assert rpt.entries[0].values == (1.0, 1e-200, 0.0, 0.0, 0.0)
+        assert rpt.entries[0].increments == (1e-200,) * 4
 
     def test_not_parabolic(self):
         seq = FundamentalSequence.default(B11, Q5)
@@ -287,6 +298,11 @@ class TestContractUnipotent:
         ns = [Matrix.from_rows(Q5, [[1, Fraction(1, 5 ** i)], [0, 1]])
               for i in range(25)]
         assert contract_unipotent(ns, seq) is False
+
+    def test_real_magnitude_underflow(self):
+        seq = FundamentalSequence(B11, Matrix.diagonal(R, [1.0, 1e-200]))
+        ns = [Matrix.from_rows(R, [[1.0, 1.0], [0.0, 1.0]])] * 5
+        assert contract_unipotent(ns, seq) is True
 
     def test_rejects_non_unipotent(self):
         seq = FundamentalSequence.default(B11, Q5)

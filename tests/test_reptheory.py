@@ -11,7 +11,6 @@ from localrep import (
     Representation,
     are_conjugate_ss,
     composition_series,
-    has_invariant_complement,
     is_cr,
     is_nonparabolic,
     rref,
@@ -122,27 +121,43 @@ class TestNonparabolic:
         assert is_cr(rho)
 
 
+def _complement_projector(rho, rows):
+    """The equivariant projector b [[I, X], [0, 0]] b^-1 onto the invariant span
+    of ``rows``, with X from ``split_at(rho, rows).complement()``, or None when
+    the span has no invariant complement.  Its kernel is the complement."""
+    field, n = rho.field, rho.n
+    rows = reptheory._canonical_rows(field, rows)
+    split = split_at(rho, rows)
+    sol = split.complement()
+    if sol is None:
+        return None
+    k = len(rows)
+    q = n - k
+    ident = Matrix.identity(field, k).data
+    proj = [ident[i] + sol[i * q:(i + 1) * q] for i in range(k)] + [(field.zero(),) * n] * q
+    return split.basis * Matrix(field, proj) * split.basis.inv()
+
+
 class TestInvariantComplement:
+    """``Split.complement`` solves A X - X D = B exactly when W splits off."""
+
     def test_diagonal_splits(self):
         rho = rep(Q5, {"a": [[2, 0], [0, 3]]})
-        ok, proj = has_invariant_complement(rho, [(1, 0)])
-        assert ok
+        proj = _complement_projector(rho, [(1, 0)])
         assert proj == Matrix.from_rows(Q5, [[1, 0], [0, 0]])
 
     def test_unipotent_does_not_split(self):
         rho = rep(Q5, {"a": [[1, 1], [0, 1]]})
-        ok, proj = has_invariant_complement(rho, [(1, 0)])
-        assert not ok and proj is None
+        assert _complement_projector(rho, [(1, 0)]) is None
 
     def test_identity_splits(self):
         rho = rep(Q5, {"a": [[1, 0], [0, 1]]})
-        ok, _ = has_invariant_complement(rho, [(1, 0)])
-        assert ok
+        assert _complement_projector(rho, [(1, 0)]) is not None
 
     def test_projector_is_equivariant(self):
         rho = rep(Q5, {"a": [[2, 5], [0, 3]]})
-        ok, proj = has_invariant_complement(rho, [(1, 0)])
-        assert ok
+        proj = _complement_projector(rho, [(1, 0)])
+        assert proj is not None
         for m in rho.gens.values():
             assert proj * m == m * proj
         assert proj * proj == proj
@@ -150,7 +165,7 @@ class TestInvariantComplement:
     def test_not_invariant_raises(self):
         rho = rep(Q5, {"a": [[0, 1], [1, 0]]})
         with pytest.raises(NotInvariantError):
-            has_invariant_complement(rho, [(1, 0)])
+            _complement_projector(rho, [(1, 0)])
 
 
 class TestIsCr:
@@ -260,6 +275,35 @@ class TestSemisimplify:
                 levi = h * ss.flag.blocks.diagonal_part(hinv * m * h) * hinv
                 assert ss.rho_ss.gens[s].data == levi.data, name
 
+    def test_carried_inverse_is_exact(self, exact_corpus, floor_corpus):
+        """The h^-1 composed down the split tree times h is the identity, exactly."""
+        corpus = ([(e.name, e.rep) for e in exact_corpus] + list(floor_corpus)
+                  + [(name, rho) for name, _, rho in _three_block_corpus(range(10))])
+        for name, rho in corpus:
+            if rho.field.is_real:
+                continue
+            h, hinv, _ = reptheory._series(_fresh(rho))
+            assert (hinv * h).data == Matrix.identity(rho.field, rho.n).data, name
+
+    def test_inverts_only_to_verify(self, monkeypatch):
+        """Once the series is built, rho_ss costs the flag check's one inversion."""
+        inverted = []
+        original = Matrix.inv
+
+        def counted(m):
+            inverted.append(m.n)
+            return original(m)
+
+        for field, sizes in THREE_BLOCK_SHAPES:
+            rho = _three_block(field, sizes, 0)
+            composition_series(rho)
+            inverted.clear()
+            monkeypatch.setattr(Matrix, "inv", counted)
+            ss = semisimplify(rho)
+            monkeypatch.undo()
+            assert len(ss.flag.block_sizes) == 3
+            assert inverted == [rho.n]
+
     def test_word_traces_preserved(self, exact_corpus):
         for entry in exact_corpus[:10] + exact_corpus[30:40]:
             rho = entry.rep
@@ -347,7 +391,8 @@ def _conjugated(field, case):
 
 
 class TestBatteryMemo:
-    """The decisions read the battery's first candidate, built once per tuple and seed."""
+    """The decisions read the split at the battery's first candidate, built once
+    per tuple and seed."""
 
     def test_battery_runs_once_per_tuple_and_seed(self, floor_corpus, exact_corpus,
                                                   monkeypatch):
@@ -530,10 +575,20 @@ class TestSplit:
                         assert back.data == g.data, name
         assert fields == {"real", "padic", "funcfield"}
 
-    def test_built_once_per_rows(self):
-        rho = rep(Q5, {"a": [[2, 5], [0, 3]]})
-        rows = ((Fraction(1), Fraction(0)),)
-        assert rho.split(rows) is rho.split(rows)
+    def test_one_split_per_tuple_and_seed(self):
+        rho = _conjugated(Q5, SEEDED_LINES)
+        splits = {}
+        for seed in (PROBE_SEED, 1, PROBE_SEED, 1):
+            with probe_seed(seed):
+                split = reptheory._split(rho)
+                assert splits.setdefault(seed, split) is split
+                is_nonparabolic(rho)
+                is_cr(rho)
+                semisimplify(rho)
+                assert rho._derived[("split", seed)] is split
+        assert splits[PROBE_SEED].basis != splits[1].basis
+        assert set(rho._derived) == {("split", PROBE_SEED), ("split", 1),
+                                     ("series", PROBE_SEED), ("series", 1)}
 
     @pytest.mark.parametrize("field, gens, rows", [
         (Q5, {"a": [[0, 1], [1, 0]]}, [(1, 0)]),
@@ -548,10 +603,6 @@ class TestSplit:
         rows = reptheory._canonical_rows(field, rows)
         with pytest.raises(NotInvariantError):
             split_at(rho, rows)
-        with pytest.raises(NotInvariantError):
-            rho.split(rows)
-        with pytest.raises(NotInvariantError):
-            has_invariant_complement(rho, rows)
 
 
 def _restrict(rho, rows):
@@ -582,8 +633,8 @@ def _oracle_is_cr(rho):
     rows = _first(rho, reptheory._active_seed.get()) if rho.n > 1 else None
     if rows is None:
         return True
-    ok, proj = has_invariant_complement(_fresh(rho), rows)
-    if not ok:
+    proj = _complement_projector(_fresh(rho), rows)
+    if proj is None:
         return False
     kernel = reptheory._kernel_rows(rho.field, proj.data)
     return _oracle_is_cr(_restrict(rho, rows)) and _oracle_is_cr(_restrict(rho, kernel))
@@ -617,11 +668,10 @@ class TestIsCrOnTheSeriesSplits:
             while todo:
                 node = todo.pop()
                 tree.append(node)
-                rows = node._derived.get(("first", PROBE_SEED))
-                if rows is None:
+                split = node._derived.get(("split", PROBE_SEED))
+                if split is None:
                     leaves.append(node.n)
                 else:
-                    split = node._derived[("split", rows)]
                     todo += [split.sub, split.quot]
             assert sorted(leaves) == sorted(sizes), name
             # once on every tuple of the tree that is not a line, and nowhere else
