@@ -2,17 +2,17 @@
 
 Everything here is pure and deterministic.  One elimination kernel,
 :class:`Echelon`, does all row reduction: :func:`rref` and its kernels,
-:func:`solve_linear`, ``Matrix.det`` and ``Matrix.inv`` here, and the spins,
-invariance tests and word algebras of :mod:`localrep.reptheory`.  Its pivot is
-the first entry that is not zero under ``Field.is_zero(x, scale)``, with
-``scale`` the largest |entry| given so far, so results are exact over the
-exact fields and use the relative tolerance of :mod:`localrep.fields` over R.
+:func:`solve_linear`, ``Matrix.det`` and ``Matrix.inv`` here, the spins,
+invariance tests and word algebras of :mod:`localrep.reptheory`, and the
+pivot blocks of the block LDU in :func:`localrep.parabolic.levi_decompose`.
+Its pivot is the first entry that is not zero under
+``Field.is_zero(x, scale)``, with ``scale`` the largest |entry| given so
+far, so results are exact over the exact fields and use the relative
+tolerance of :mod:`localrep.fields` over R.
 Over R this gives up partial pivoting on purpose: callers read each reduced
 row's pivot as its first nonzero entry, which the largest-entry rule does
-not keep.  Two routines eliminate on their own: :func:`smith_padic`, which
-pivots on least valuation, and the block LDU of
-:func:`localrep.parabolic.levi_decompose`, which pivots on whole diagonal
-blocks.
+not keep.  One routine eliminates on its own: :func:`smith_padic`, which
+pivots on least valuation.
 """
 
 from __future__ import annotations

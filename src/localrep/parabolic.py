@@ -126,20 +126,10 @@ class FundamentalSequence:
         f = m.field
         if m.n != self.blocks.n:
             raise DimensionMismatchError("base size does not match the block structure")
-        sc = m.entry_scale()
-        for i in range(m.n):
-            for j in range(m.n):
-                if i != j and not f.is_zero(m.data[i][j], sc):
-                    raise NotParabolicError("base must be diagonal")
-        b = self.blocks.boundaries
-        cs = []
-        for bi in range(self.blocks.k):
-            lo, hi = b[bi], b[bi + 1]
-            c = m.data[lo][lo]
-            for i in range(lo, hi):
-                if not f.eq(m.data[i][i], c, sc):
-                    raise NotParabolicError("base must be constant within blocks")
-            cs.append(c)
+        cs = [m.data[lo][lo] for lo in self.blocks.boundaries[:-1]]
+        if m != Matrix.diagonal(f, [c for c, size in zip(cs, self.blocks.sizes)
+                                    for _ in range(size)]):
+            raise NotParabolicError("base must be diagonal and constant within blocks")
         # -v(c) orders |c| on the exact fields with no float to overflow
         mags = [abs(c) if f.is_real else -f.valuation(c) for c in cs]
         if any(x <= y for x, y in zip(mags, mags[1:])):
@@ -180,66 +170,39 @@ def levi_decompose(g: Matrix, blocks: BlockStructure):
     """Unique factorisation g = u * r * n over the big cell.
 
     ``u`` is block lower unitriangular, ``r`` block diagonal and ``n`` block
-    upper unitriangular.  Raises NOT_IN_BIG_CELL when a leading principal
-    block of ``g`` is singular.
+    upper unitriangular.  Block elimination in ``Matrix`` arithmetic: let s
+    be the Schur complement the blocks before B = [lo, e) leave (s = g at
+    the first block), P = s[B, B] the pivot, which is r[B, B], and E the
+    n x n matrix holding P^-1 at [B, B] and zeros elsewhere.  Then
+
+        u[e:, B] = (s E)[e:, B],   n[B, e:] = (E s)[B, e:],   s <- s - s E s.
+
+    P^-1 is ``Matrix.inv``, so :class:`~localrep.linalg.Echelon` does the
+    only row reduction, one diagonal block at a time.  Raises NOT_IN_BIG_CELL
+    when det P is zero against the scale of g.  Over R that det test is the
+    verdict and ``Matrix.inv`` failing is not: ``inv`` tests P against its
+    own scale, so it accepts a pivot that vanishes against g.
     """
     f = g.field
     if g.n != blocks.n:
         raise DimensionMismatchError("matrix size does not match the block structure")
-    b = blocks.boundaries
-    k = blocks.k
-    work = [list(row) for row in g.data]
     sc = g.entry_scale()
-    u = [[f.one() if i == j else f.zero() for j in range(g.n)] for i in range(g.n)]
-    n_mat = [[f.one() if i == j else f.zero() for j in range(g.n)] for i in range(g.n)]
-
-    def sub(rows, r0, r1, c0, c1):
-        return [[rows[i][j] for j in range(c0, c1)] for i in range(r0, r1)]
-
-    for bj in range(k):
-        lo, hi = b[bj], b[bj + 1]
-        pivot = Matrix(f, tuple(tuple(work[i][j] for j in range(lo, hi)) for i in range(lo, hi)))
+    u = [list(row) for row in Matrix.identity(f, g.n).data]
+    n = [list(row) for row in Matrix.identity(f, g.n).data]
+    levi, s = [], g
+    b = blocks.boundaries
+    for bi, (lo, e) in enumerate(zip(b, b[1:])):
+        pivot = Matrix(f, tuple(row[lo:e] for row in s.data[lo:e]))
         if f.is_zero(pivot.det(), sc):
-            raise NotInBigCellError(f"leading principal block {bj} is singular")
-        pinv = pivot.inv()
-        for bi in range(bj + 1, k):
-            rlo, rhi = b[bi], b[bi + 1]
-            factor = [
-                [sum((work[i][m] * pinv.data[m - lo][jj] for m in range(lo, hi)),
-                     start=f.zero())
-                 for jj in range(hi - lo)]
-                for i in range(rlo, rhi)
-            ]
-            for ii in range(rlo, rhi):
-                for jj in range(lo, hi):
-                    u[ii][jj] = factor[ii - rlo][jj - lo]
-                for col in range(g.n):
-                    acc = work[ii][col]
-                    for m in range(lo, hi):
-                        acc = acc - factor[ii - rlo][m - lo] * work[m][col]
-                    work[ii][col] = acc
-        for bi in range(bj + 1, k):
-            clo, chi = b[bi], b[bi + 1]
-            factor = [
-                [sum((pinv.data[ii][m - lo] * work[m][j] for m in range(lo, hi)),
-                     start=f.zero())
-                 for j in range(clo, chi)]
-                for ii in range(hi - lo)
-            ]
-            for ii in range(lo, hi):
-                for jj in range(clo, chi):
-                    n_mat[ii][jj] = factor[ii - lo][jj - clo]
-            for row in range(g.n):
-                for jj in range(clo, chi):
-                    acc = work[row][jj]
-                    for m in range(lo, hi):
-                        acc = acc - work[row][m] * factor[m - lo][jj - clo]
-                    work[row][jj] = acc
-
-    u_m = Matrix(f, tuple(tuple(r) for r in u))
-    r_m = Matrix(f, tuple(tuple(r) for r in work))
-    n_m = Matrix(f, tuple(tuple(r) for r in n_mat))
-    return u_m, r_m, n_m
+            raise NotInBigCellError(f"leading principal block {bi} is singular")
+        levi.append(pivot)
+        pad = Matrix.block_diagonal(f, [Matrix.zeros(f, lo), pivot.inv(), Matrix.zeros(f, g.n - e)])
+        left, right = s * pad, pad * s
+        for i in range(e, g.n):
+            for j in range(lo, e):
+                u[i][j], n[j][i] = left.data[i][j], right.data[j][i]
+        s = s - left * s
+    return Matrix(f, u), Matrix.block_diagonal(f, levi), Matrix(f, n)
 
 
 def levi_project(g: Matrix, blocks: BlockStructure, side: str = "upper") -> Matrix:
@@ -277,23 +240,6 @@ class ContractReport:
     entries: tuple                    # EntryTrace per tracked entry
     imax: int
     threshold_reached: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "stationary": self.stationary,
-            "imax": self.imax,
-            "threshold_reached": self.threshold_reached,
-            "entries": [
-                {
-                    "row": e.row,
-                    "col": e.col,
-                    "values": ["inf" if v == INFINITY else v for v in e.values],
-                    "increments": list(e.increments),
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def contract_limit(g: Matrix, seq: FundamentalSequence, imax: int) -> ContractReport:
@@ -373,11 +319,9 @@ class DegenerationTrace:
 
     blocks: BlockStructure
     imax: int
-    levi: dict                      # symbol -> Matrix, the shared projection
     table_minus: dict               # symbol -> tuple of EntryTrace
     table_plus: dict
     big_cell_ok: bool
-    final: dict                     # symbol -> Matrix, rho_imax
     initial: dict                   # symbol -> Matrix, rho_0
 
     def to_json_dict(self) -> dict:
@@ -535,12 +479,11 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
 
     symbols = rho_minus.symbols
     big_cell_ok = not f.is_real or all(_leading_minors_nonzero(rs[s], blocks) for s in symbols)
-    initial, final = {}, {}
+    initial = {}
     table_minus, table_plus = {}, {}
     for s in symbols:
         gm, gp = rho_minus.gens[s], rho_plus.gens[s]
         initial[s] = gm * ns[s]
-        final[s] = gm * seq.conjugate_power(ns[s], imax)
         lower = _closed_form_terms(gm, ns[s], seq, by_row=False)
         upper = _closed_form_terms(us[s], gp, seq, by_row=True)
         sc = initial[s].entry_scale()
@@ -549,10 +492,8 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
     return DegenerationTrace(
         blocks=blocks,
         imax=imax,
-        levi=rs,
         table_minus=table_minus,
         table_plus=table_plus,
         big_cell_ok=big_cell_ok,
-        final=final,
         initial=initial,
     )

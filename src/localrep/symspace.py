@@ -172,21 +172,16 @@ def _gradient(mats, h: np.ndarray) -> np.ndarray:
 def grad_objective(rho: Representation, h, H) -> float:
     """Directional derivative of J at h along the direction H.
 
-    Uses the closed form sum_s 2 tr(log(A_s) A_s^-1 (C_s M_s^T + M_s C_s^T))
-    with M_s = h^-1 rho(s) h, A_s = M_s M_s^T and C_s = M_s H - H M_s.
+    The Frobenius pairing of H with :func:`_gradient`, the gradient that the
+    descent follows.  That gradient lives in the symmetric traceless
+    matrices, the tangent space of determinant-one SPD matrices, so any
+    other H is taken through its symmetric traceless part.
     """
-    mats = _action_matrices(rho)
+    mats = list(_action_matrices(rho).values())
     h = np.asarray(h, dtype=float)
-    H = np.asarray(H, dtype=float)
     if abs(float(np.linalg.det(h))) < 1e-12:
         raise SingularMatrixError("conjugator is singular")
-    total = 0.0
-    for m, a in _objective_terms(list(mats.values()), h):
-        w, v = np.linalg.eigh(a)
-        l_mat = (v * (np.log(w) / w)) @ v.T
-        c = m @ H - H @ m
-        total += 2.0 * float(np.trace(l_mat @ (c @ m.T + m @ c.T)))
-    return total
+    return float(np.sum(_gradient(mats, h) * np.asarray(H, dtype=float)))
 
 
 @dataclass

@@ -151,6 +151,21 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "Echelon.reduced zeroes the pivot of the stored row (0, 1), since "
+        "1 <= 1e-9 * 3e9, so spin returns a zero row and the adapted basis is "
+        "2 x 3: DIMENSION_MISMATCH, exit 3 (ROADMAP items 5 and 11)"))
+    def test_real_pair_with_a_wide_diagonal_is_not_cr(self, tmp_path, capsys):
+        path = write(tmp_path, "r.json", {
+            "field": {"type": "real"},
+            "n": 2,
+            "generators": {"a": [["1", "0"], ["0", "3e9"]], "b": [["1", "0"], ["1", "1"]]},
+        })
+        assert main(["analyze", "--input", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cr"] is False
+        assert report["flag"]["block_sizes"] == [1, 1]
+
     def test_precondition_is_3(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", TRIANGULAR)
         assert main(["minimize", "--input", path]) == 3

@@ -104,7 +104,64 @@ def opposite_pair(field, rng, sizes, symbols=("a", "b")):
     return Representation(field, minus), Representation(field, plus), blocks
 
 
+def reference_levi_decompose(g, blocks):
+    """Block LDU by its own block elimination, pivoting on whole diagonal blocks.
+
+    The oracle for ``levi_decompose``: each pivot block's det is tested
+    against the scale of g, then its rows clear the blocks below (giving u)
+    and its columns the blocks to the right (giving n).  What remains is r.
+    """
+    f = g.field
+    b = blocks.boundaries
+    k = blocks.k
+    work = [list(row) for row in g.data]
+    sc = g.entry_scale()
+    u = [[f.one() if i == j else f.zero() for j in range(g.n)] for i in range(g.n)]
+    n_mat = [[f.one() if i == j else f.zero() for j in range(g.n)] for i in range(g.n)]
+    for bj in range(k):
+        lo, hi = b[bj], b[bj + 1]
+        pivot = Matrix(f, tuple(tuple(work[i][j] for j in range(lo, hi)) for i in range(lo, hi)))
+        if f.is_zero(pivot.det(), sc):
+            raise NotInBigCellError(f"leading principal block {bj} is singular")
+        pinv = pivot.inv()
+        for bi in range(bj + 1, k):
+            rlo, rhi = b[bi], b[bi + 1]
+            factor = [
+                [sum((work[i][m] * pinv.data[m - lo][jj] for m in range(lo, hi)),
+                     start=f.zero())
+                 for jj in range(hi - lo)]
+                for i in range(rlo, rhi)
+            ]
+            for ii in range(rlo, rhi):
+                for jj in range(lo, hi):
+                    u[ii][jj] = factor[ii - rlo][jj - lo]
+                for col in range(g.n):
+                    acc = work[ii][col]
+                    for m in range(lo, hi):
+                        acc = acc - factor[ii - rlo][m - lo] * work[m][col]
+                    work[ii][col] = acc
+        for bi in range(bj + 1, k):
+            clo, chi = b[bi], b[bi + 1]
+            factor = [
+                [sum((pinv.data[ii][m - lo] * work[m][j] for m in range(lo, hi)),
+                     start=f.zero())
+                 for j in range(clo, chi)]
+                for ii in range(hi - lo)
+            ]
+            for ii in range(lo, hi):
+                for jj in range(clo, chi):
+                    n_mat[ii][jj] = factor[ii - lo][jj - clo]
+            for row in range(g.n):
+                for jj in range(clo, chi):
+                    acc = work[row][jj]
+                    for m in range(lo, hi):
+                        acc = acc - work[row][m] * factor[m - lo][jj - clo]
+                    work[row][jj] = acc
+    return Matrix(f, u), Matrix(f, work), Matrix(f, n_mat)
+
+
 ORACLE_SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (1, 2, 1))
+LDU_SHAPES = ((1, 1), (2, 1), (1, 2), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1), (3, 2))
 
 
 class TestLeviDecompose:
@@ -137,6 +194,61 @@ class TestLeviDecompose:
     def test_outside_big_cell(self):
         with pytest.raises(NotInBigCellError):
             levi_decompose(Matrix.from_rows(Q5, [[0, 1], [1, 0]]), B11)
+
+    @pytest.mark.parametrize("entries", [(1.0, 1e5), (1e5, 1.0), (1e-5, 1.0)])
+    def test_real_wide_diagonal_is_fixed(self, entries):
+        # entries 1e5 apart: inverting g as a whole clears its small entries over R
+        g = Matrix.diagonal(R, entries)
+        u, r, n = levi_decompose(g, B11)
+        assert (u.data, r.data, n.data) == (Matrix.identity(R, 2).data, g.data,
+                                            Matrix.identity(R, 2).data)
+
+    @pytest.mark.parametrize("field", [Q5, F3, R], ids=["Q5", "F3T", "R"])
+    @pytest.mark.parametrize("sizes", LDU_SHAPES)
+    def test_matches_block_elimination(self, field, sizes):
+        """The same (u, r, n) as eliminating block by block (exactly on Q5 and
+        F3(T), to tolerance on R), the same inputs outside the big cell, and
+        u and n exactly block unitriangular.  Over R half the draws have rows
+        and columns scaled by 10^-1..10^1, so their entries span up to 1e7."""
+        blocks = BlockStructure(sum(sizes), sizes)
+        size = blocks.n
+        owner = [bi for bi, s in enumerate(sizes) for _ in range(s)]
+        choices = {"padic": [0, 0, 1, -1, 2, 5, "1/5", "3/25"],
+                   "funcfield": ["0", "0", "1", "2", "T", "T+2", "1/T"]}.get(field.kind)
+        rng = random.Random(f"ldu:{field.kind}:{sizes}")
+        one, zero = field.one(), field.zero()
+        draws = [[[rng.choice(choices) if choices else round(rng.uniform(-3, 3), 3)
+                   for _ in range(size)] for _ in range(size)] for _ in range(40)]
+        if field.is_real:
+            for _ in range(40):
+                d = [10.0 ** rng.randint(-1, 1) for _ in range(2 * size)]
+                draws.append([[round(rng.uniform(-3, 3), 3) * d[i] * d[size + j]
+                               for j in range(size)] for i in range(size)])
+        outside = 0
+        for rows in draws:
+            g = Matrix.from_rows(field, rows)
+            try:
+                want = reference_levi_decompose(g, blocks)
+            except NotInBigCellError:
+                outside += 1
+                with pytest.raises(NotInBigCellError):
+                    levi_decompose(g, blocks)
+                continue
+            u, r, n = levi_decompose(g, blocks)
+            if field.is_real:
+                assert (u, r, n) == want
+                assert u * r * n == g
+            else:
+                assert (u.data, r.data, n.data) == tuple(m.data for m in want)
+            for i in range(size):
+                for j in range(size):
+                    unit = one if i == j else zero
+                    if owner[i] <= owner[j]:
+                        assert u.data[i][j] == unit
+                    if owner[i] >= owner[j]:
+                        assert n.data[i][j] == unit
+        # the exact draws reach outside the big cell; the real ones never do
+        assert (outside > 0) != field.is_real
 
 
 class TestLeviProject:
@@ -182,6 +294,10 @@ class TestFundamentalSequence:
     def test_rejects_non_diagonal(self):
         with pytest.raises(NotParabolicError):
             FundamentalSequence(B11, Matrix.from_rows(Q5, [["1/5", 1], [0, 1]]))
+
+    def test_rejects_base_not_constant_within_a_block(self):
+        with pytest.raises(NotParabolicError):
+            FundamentalSequence(BlockStructure(3, (1, 2)), Matrix.diagonal(Q5, ["1/5", 1, 2]))
 
     def test_orders_magnitudes_by_valuation(self):
         # |5^-500| = 5^500 overflows a float; |5^470| and |5^480| underflow to 0.0
