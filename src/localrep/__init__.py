@@ -1,13 +1,12 @@
 """Complete reducibility and displacement geometry for matrix representations
 over local fields (real, p-adic rational, and F_p(T) models)."""
 
-from .fields import Field, FpPoly, FpRat, INFINITY, valuation
-from .linalg import Matrix, rref, smith_padic, solve_linear
+from .fields import Field, FpPoly, FpRat, INFINITY
+from .linalg import Matrix, rref, solve_linear
 from .reptheory import (
     InvariantFlag,
     Representation,
     Semisimplification,
-    are_conjugate_ss,
     composition_series,
     is_cr,
     is_nonparabolic,
@@ -21,9 +20,6 @@ from .parabolic import (
     FundamentalSequence,
     build_neighbors,
     contract_limit,
-    contract_unipotent,
-    levi_decompose,
-    levi_project,
 )
 from .tree import (
     TreeVertex,
@@ -35,27 +31,23 @@ from .tree import (
 )
 from .quotient import (
     CrClass,
-    lambda_class_invariant,
     project,
     same_point_in_Xcr,
     separation_experiment,
 )
 
 __all__ = [
-    "Field", "FpPoly", "FpRat", "INFINITY", "valuation",
-    "Matrix", "rref", "smith_padic", "solve_linear",
+    "Field", "FpPoly", "FpRat", "INFINITY",
+    "Matrix", "rref", "solve_linear",
     "InvariantFlag", "Representation", "Semisimplification",
-    "are_conjugate_ss", "composition_series", "is_cr", "is_nonparabolic",
-    "probe_seed", "semisimplify", "spin", "trace_fingerprint",
-    "BlockStructure", "FundamentalSequence", "build_neighbors",
-    "contract_limit", "contract_unipotent", "levi_decompose", "levi_project",
+    "composition_series", "is_cr", "is_nonparabolic", "probe_seed",
+    "semisimplify", "spin", "trace_fingerprint",
+    "BlockStructure", "FundamentalSequence", "build_neighbors", "contract_limit",
     "ATTAINED", "DIVERGED", "MAXITER", "DisplacementReport", "SPDPoint",
-    "check_symmetry_at_min", "displacement", "dist", "grad_objective",
-    "minimize_displacement",
+    "displacement", "dist", "grad_objective", "minimize_displacement",
     "TreeVertex", "neighbors", "product_counterexample",
     "translation_length", "tree_dist", "vertex_displacement",
-    "CrClass", "lambda_class_invariant", "project", "same_point_in_Xcr",
-    "separation_experiment",
+    "CrClass", "project", "same_point_in_Xcr", "separation_experiment",
 ]
 
 __version__ = "0.1.0"
@@ -64,8 +56,7 @@ __version__ = "0.1.0"
 # on first access.
 _SYMSPACE_NAMES = frozenset({
     "ATTAINED", "DIVERGED", "MAXITER", "DisplacementReport", "SPDPoint",
-    "check_symmetry_at_min", "displacement", "dist", "grad_objective",
-    "minimize_displacement",
+    "displacement", "dist", "grad_objective", "minimize_displacement",
 })
 
 

@@ -22,10 +22,6 @@ class SingularMatrixError(LocalRepError):
     code = "SINGULAR"
 
 
-class WrongFieldError(LocalRepError):
-    code = "WRONG_FIELD"
-
-
 class FieldMismatchError(LocalRepError):
     code = "FIELD_MISMATCH"
 
@@ -42,20 +38,8 @@ class NotInvariantError(LocalRepError):
     code = "NOT_INVARIANT"
 
 
-class NotCrError(LocalRepError):
-    code = "NOT_CR"
-
-
-class NotInBigCellError(LocalRepError):
-    code = "NOT_IN_BIG_CELL"
-
-
 class NotParabolicError(LocalRepError):
     code = "NOT_PARABOLIC"
-
-
-class NotUnipotentError(LocalRepError):
-    code = "NOT_UNIPOTENT"
 
 
 class LeviMismatchError(LocalRepError):
@@ -72,10 +56,6 @@ class PrimeMismatchError(LocalRepError):
 
 class BadParameterError(LocalRepError):
     code = "BAD_T"
-
-
-class NotAttainedError(LocalRepError):
-    code = "NOT_ATTAINED"
 
 
 class ParseError(LocalRepError):

@@ -635,8 +635,3 @@ class Field:
         if self.kind == "padic":
             return f"Q(p={self.p})"
         return f"F{self.p}(T)"
-
-
-def valuation(field: Field, x):
-    """Module-level convenience wrapper around :meth:`Field.valuation`."""
-    return field.valuation(x)

@@ -2,29 +2,25 @@
 
 Everything here is pure and deterministic.  One elimination kernel,
 :class:`Echelon`, does all row reduction: :func:`rref` and its kernels,
-:func:`solve_linear`, ``Matrix.det`` and ``Matrix.inv`` here, the spins,
-invariance tests and word algebras of :mod:`localrep.reptheory`, and the
-pivot blocks of the block LDU in :func:`localrep.parabolic.levi_decompose`.
+:func:`solve_linear`, ``Matrix.det`` and ``Matrix.inv`` here, and the
+spins, invariance tests and word algebras of :mod:`localrep.reptheory`.
 Its pivot is the first entry that is not zero under
 ``Field.is_zero(x, scale)``, with ``scale`` the largest |entry| given so
 far, so results are exact over the exact fields and use the relative
 tolerance of :mod:`localrep.fields` over R.
 Over R this gives up partial pivoting on purpose: callers read each reduced
 row's pivot as its first nonzero entry, which the largest-entry rule does
-not keep.  One routine eliminates on its own: :func:`smith_padic`, which
-pivots on least valuation.
+not keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     SingularMatrixError,
-    WrongFieldError,
 )
 from .fields import Field, INFINITY
 
@@ -129,18 +125,6 @@ class Matrix:
             tuple(_dot(row, col) for col in cols) for row in self.data
         ))
 
-    def __pow__(self, k: int) -> "Matrix":
-        if k < 0:
-            return self.inv() ** (-k)
-        out = Matrix.identity(self.field, self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
         return Matrix(self.field, tuple(tuple(c * a for a in row) for row in self.data))
@@ -179,17 +163,6 @@ class Matrix:
 
     def inv(self) -> "Matrix":
         return Matrix(self.field, _inverse(self.field, self.data))
-
-    def is_identity(self, scale: float | None = None) -> bool:
-        sc = self.entry_scale() if scale is None else scale
-        f = self.field
-        one = f.one()
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
-                target = one if i == j else f.zero()
-                if not f.eq(x, target, sc):
-                    return False
-        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -406,96 +379,3 @@ def _inverse(field: Field, data):
     if res.pivots != tuple(range(n)):
         raise SingularMatrixError("matrix is singular (or below tolerance)")
     return tuple(tuple(row[n:]) for row in res.reduced)
-
-
-# ---------------------------------------------------------------------------
-# Smith-type decomposition over Z_p
-
-
-def smith_padic(m: Matrix):
-    """Decompose an invertible p-adic matrix as ``k1 * a * k2``.
-
-    ``a`` is ``diag(p^e_1, ..., p^e_n)`` with ``e_1 <= ... <= e_n`` and the
-    outer factors have all entries of valuation >= 0 and determinant of
-    valuation 0, i.e. they are p-adic units as matrices.  Exact throughout.
-    The elimination is its own, not :class:`Echelon`'s: it is two-sided and
-    pivots on least valuation, so every multiplier stays in Z_p and the
-    outer factors stay integral.
-    """
-    field = m.field
-    if field.kind != "padic":
-        raise WrongFieldError("Smith decomposition is defined for the p-adic model")
-    p = field.p
-    n = m.n
-    a = [list(row) for row in m.data]
-    k1 = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    k2 = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-    def val(x):
-        return field.valuation(x)
-
-    # invariant maintained by every step: m == k1 * a * k2
-    for s in range(n):
-        # minimal-valuation pivot in the trailing block
-        best = None
-        best_v = INFINITY
-        for i in range(s, n):
-            for j in range(s, n):
-                v = val(a[i][j])
-                if v < best_v:
-                    best, best_v = (i, j), v
-        if best is None or best_v is INFINITY:
-            raise SingularMatrixError("matrix is singular over Q")
-        bi, bj = best
-        if bi != s:
-            a[s], a[bi] = a[bi], a[s]           # row swap on a ...
-            for r in range(n):                  # ... compensated on k1 columns
-                k1[r][s], k1[r][bi] = k1[r][bi], k1[r][s]
-        if bj != s:
-            for r in range(n):
-                a[r][s], a[r][bj] = a[r][bj], a[r][s]
-            k2[s], k2[bj] = k2[bj], k2[s]
-        pivot = a[s][s]
-        for i in range(s + 1, n):
-            if a[i][s] == 0:
-                continue
-            f = a[i][s] / pivot                 # valuation >= 0 by pivot choice
-            a[i] = [x - f * y for x, y in zip(a[i], a[s])]
-            for r in range(n):
-                k1[r][s] = k1[r][s] + f * k1[r][i]
-        for j in range(s + 1, n):
-            if a[s][j] == 0:
-                continue
-            f = a[s][j] / pivot
-            for r in range(n):
-                a[r][j] = a[r][j] - f * a[r][s]
-            k2[s] = [x + f * y for x, y in zip(k2[s], k2[j])]
-
-    # normalise units off the diagonal of a into k1
-    exps = []
-    for i in range(n):
-        v = val(a[i][i])
-        unit = a[i][i] / Fraction(p) ** v
-        a[i][i] = Fraction(p) ** v
-        for r in range(n):
-            k1[r][i] = k1[r][i] * unit
-        exps.append(v)
-
-    # sort elementary divisors ascending
-    order = sorted(range(n), key=lambda i: exps[i])
-    a_sorted = [[Fraction(0)] * n for _ in range(n)]
-    for new, old in enumerate(order):
-        a_sorted[new][new] = a[old][old]
-    k1s = [[k1[r][order[c]] for c in range(n)] for r in range(n)]
-    k2s = [k2[order[r]] for r in range(n)]
-
-    k1m = Matrix(field, k1s)
-    am = Matrix(field, a_sorted)
-    k2m = Matrix(field, k2s)
-    return k1m, am, k2m
-
-
-def elementary_divisor_valuations(m: Matrix) -> tuple:
-    """Valuations ``e_1 <= ... <= e_n`` of the elementary divisors of ``m``."""
-    _, a, _ = smith_padic(m)
-    return tuple(m.field.valuation(a.data[i][i]) for i in range(m.n))

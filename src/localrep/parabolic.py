@@ -31,9 +31,8 @@ The same closed form, with the identity as left factor, gives
 base^-i g base^i - L(g) = sum_{p<q} (c_q/c_p)^i g[P, Q] for block upper
 triangular g with block diagonal part L(g).  :func:`_closed_form_terms` and
 :func:`_difference_table` are the only code that values these sums, for
-four users: :func:`build_neighbors`, :func:`contract_limit`,
-:func:`contract_unipotent` (through :func:`contract_limit`) and step (c) of
-:func:`localrep.tree.product_counterexample`.
+three users: :func:`build_neighbors`, :func:`contract_limit` and step (c)
+of :func:`localrep.tree.product_counterexample`.
 """
 
 from __future__ import annotations
@@ -44,9 +43,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     DimensionMismatchError,
     LeviMismatchError,
-    NotInBigCellError,
     NotParabolicError,
-    NotUnipotentError,
 )
 from .fields import Field, INFINITY
 from .linalg import Matrix
@@ -163,62 +160,6 @@ class FundamentalSequence:
 
 
 # ---------------------------------------------------------------------------
-# block LDU
-
-
-def levi_decompose(g: Matrix, blocks: BlockStructure):
-    """Unique factorisation g = u * r * n over the big cell.
-
-    ``u`` is block lower unitriangular, ``r`` block diagonal and ``n`` block
-    upper unitriangular.  Block elimination in ``Matrix`` arithmetic: let s
-    be the Schur complement the blocks before B = [lo, e) leave (s = g at
-    the first block), P = s[B, B] the pivot, which is r[B, B], and E the
-    n x n matrix holding P^-1 at [B, B] and zeros elsewhere.  Then
-
-        u[e:, B] = (s E)[e:, B],   n[B, e:] = (E s)[B, e:],   s <- s - s E s.
-
-    P^-1 is ``Matrix.inv``, so :class:`~localrep.linalg.Echelon` does the
-    only row reduction, one diagonal block at a time.  Raises NOT_IN_BIG_CELL
-    when det P is zero against the scale of g.  Over R that det test is the
-    verdict and ``Matrix.inv`` failing is not: ``inv`` tests P against its
-    own scale, so it accepts a pivot that vanishes against g.
-    """
-    f = g.field
-    if g.n != blocks.n:
-        raise DimensionMismatchError("matrix size does not match the block structure")
-    sc = g.entry_scale()
-    u = [list(row) for row in Matrix.identity(f, g.n).data]
-    n = [list(row) for row in Matrix.identity(f, g.n).data]
-    levi, s = [], g
-    b = blocks.boundaries
-    for bi, (lo, e) in enumerate(zip(b, b[1:])):
-        pivot = Matrix(f, tuple(row[lo:e] for row in s.data[lo:e]))
-        if f.is_zero(pivot.det(), sc):
-            raise NotInBigCellError(f"leading principal block {bi} is singular")
-        levi.append(pivot)
-        pad = Matrix.block_diagonal(f, [Matrix.zeros(f, lo), pivot.inv(), Matrix.zeros(f, g.n - e)])
-        left, right = s * pad, pad * s
-        for i in range(e, g.n):
-            for j in range(lo, e):
-                u[i][j], n[j][i] = left.data[i][j], right.data[j][i]
-        s = s - left * s
-    return Matrix(f, u), Matrix.block_diagonal(f, levi), Matrix(f, n)
-
-
-def levi_project(g: Matrix, blocks: BlockStructure, side: str = "upper") -> Matrix:
-    """Block diagonal part of a block triangular matrix.
-
-    Multiplicative on block triangular inputs of the stated side; raises
-    NOT_PARABOLIC otherwise.
-    """
-    if side not in ("upper", "lower"):
-        raise ValueError("side must be 'upper' or 'lower'")
-    if not blocks.is_block_triangular(g, side):
-        raise NotParabolicError(f"matrix is not block {side} triangular")
-    return blocks.diagonal_part(g)
-
-
-# ---------------------------------------------------------------------------
 # contraction reports
 
 
@@ -281,25 +222,6 @@ def contract_limit(g: Matrix, seq: FundamentalSequence, imax: int) -> ContractRe
         imax=imax,
         threshold_reached=threshold,
     )
-
-
-def contract_unipotent(nseq, seq: FundamentalSequence) -> bool:
-    """Does base^-i n_i base^i reach the identity threshold by the last index?
-
-    The list stands for a bounded sequence of block upper unitriangular
-    matrices; unboundedness shows up as missing valuation growth and makes
-    the check fail.  Read off :func:`contract_limit` of the last member.
-    """
-    blocks = seq.blocks
-    if not nseq:
-        raise ValueError("empty sequence")
-    for n_i in nseq:
-        if not blocks.is_block_triangular(n_i, "upper"):
-            raise NotUnipotentError("sequence member is not block upper triangular")
-        if not blocks.diagonal_part(n_i).is_identity(n_i.entry_scale()):
-            raise NotUnipotentError("sequence member is not unitriangular")
-    last = len(nseq) - 1
-    return contract_limit(nseq[last], seq, last).threshold_reached
 
 
 # ---------------------------------------------------------------------------

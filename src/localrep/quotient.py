@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotRealFieldError
 from .reptheory import (
     Representation,
     check_comparable,
@@ -138,10 +137,3 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
         transitive=transitive,
         symmetric=True,
     )
-
-
-def lambda_class_invariant(rho: Representation, budget: int = 5000) -> float:
-    """Minimum displacement of the projected class (a class function)."""
-    if not rho.field.is_real:
-        raise NotRealFieldError("the displacement invariant needs the real field")
-    return _lam(semisimplify(rho).rho_ss, budget)

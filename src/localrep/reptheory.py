@@ -37,7 +37,6 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     GeneratorMismatchError,
-    NotCrError,
     NotInvariantError,
     SingularMatrixError,
 )
@@ -802,16 +801,3 @@ def check_comparable(r1: Representation, r2: Representation):
         raise DimensionMismatchError(f"{r1.n} vs {r2.n}")
     if r1.symbols != r2.symbols:
         raise GeneratorMismatchError("generator symbol sets differ")
-
-
-def are_conjugate_ss(r1: Representation, r2: Representation, check_cr: bool = True) -> bool:
-    """Simultaneous conjugacy of two completely reducible tuples.
-
-    Returns True or False, decided by the Hom/End dimensions of
-    :func:`same_class`.  With ``check_cr`` both inputs are first checked to
-    be completely reducible, which the dimension test needs.
-    """
-    check_comparable(r1, r2)
-    if check_cr and (not is_cr(r1) or not is_cr(r2)):
-        raise NotCrError("both inputs must be completely reducible")
-    return same_class(r1, r2)[0]

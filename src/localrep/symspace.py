@@ -26,11 +26,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NotAttainedError,
     NotRealFieldError,
     SingularMatrixError,
 )
-from .reptheory import Representation, composition_series, is_cr, semisimplify
+from .reptheory import Representation, is_cr, semisimplify
 
 ATTAINED = "ATTAINED"
 DIVERGED = "DIVERGED"
@@ -325,67 +324,3 @@ def minimize_displacement(rho: Representation, budget: int = 5000) -> Displaceme
         lambda_est=math.sqrt(max(j, 0.0)), attained=status, minimizer=minimizer,
         iterations=iterations, trace=trace, grad_norm=gn,
     )
-
-
-# ---------------------------------------------------------------------------
-# symmetry of the fixed boundary set through a minimiser
-
-
-def _flag_directions(rho: Representation, x: SPDPoint):
-    """Unit geodesic directions at x pointing toward invariant flag points.
-
-    For each proper step of a composition series, builds the symmetric
-    traceless generator of the ray from x whose leading eigenblock spans the
-    invariant subspace (orthonormalised at x).
-    """
-    flag = composition_series(rho)
-    if len(flag.block_sizes) == 1:
-        return []
-    n = rho.n
-    x_half, x_inv_half = _sqrt_inv_sqrt(x.m)
-    h_cols = np.array(
-        [[float(v) for v in row] for row in flag.basis_change.data], dtype=float
-    )
-    q, _ = np.linalg.qr(x_inv_half @ h_cols)
-    dirs = []
-    for k in flag.blocks.boundaries[1:-1]:
-        mu_top, mu_bot = float(n - k), float(-k)  # traceless two-level profile
-        lam = np.array([mu_top] * k + [mu_bot] * (n - k))
-        s_mat = (q * lam) @ q.T
-        s_mat /= np.linalg.norm(s_mat)
-        dirs.append((x_half, s_mat))
-    return dirs
-
-
-def check_symmetry_at_min(rho: Representation, report: DisplacementReport,
-                          t_grid=None, tol: float = 1e-6) -> bool:
-    """Probe the line symmetry of per-generator displacement at the minimiser.
-
-    Along each ray toward an invariant-flag boundary point: whenever the
-    per-generator displacement is non-increasing on the positive ray it must
-    be constant along the whole line (within tolerance).  Vacuously true
-    when the action has no invariant flag.
-    """
-    if report.attained != ATTAINED or report.minimizer is None:
-        raise NotAttainedError("report does not carry a minimiser")
-    x = report.minimizer
-    mats = _action_matrices(rho)
-    dirs = _flag_directions(rho, x)
-    if not dirs:
-        return True
-    if t_grid is None:
-        t_grid = [(-5 + i) * 1.0 for i in range(11)]
-    positive = [t for t in t_grid if t >= 0]
-    for x_half, s_mat in dirs:
-        for g in mats.values():
-            vals = []
-            for t in t_grid:
-                pt = SPDPoint.normalized(x_half @ _sym_exp(t * s_mat) @ x_half)
-                vals.append(dist(pt, act(g, pt)))
-            pos_vals = [v for t, v in zip(t_grid, vals) if t >= 0]
-            noninc = all(b <= a + 1e-9 for a, b in zip(pos_vals, pos_vals[1:]))
-            if noninc:
-                spread = max(vals) - min(vals)
-                if spread > tol * max(1.0, max(vals)):
-                    return False
-    return True

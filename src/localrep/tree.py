@@ -106,8 +106,9 @@ def elementary_spread(m: Matrix) -> int:
     """e_max - e_min for the elementary divisors of an invertible 2x2 matrix.
 
     For 2x2 the first elementary divisor is the gcd of the entries, so the
-    spread is v(det) - 2 * min entry valuation; agrees with the full Smith
-    decomposition.
+    spread is v(det) - 2 * min entry valuation: the valuations of the
+    determinantal divisors d_1 (gcd of the 1x1 minors) and d_2 = det give
+    e_1 = v(d_1) and e_2 = v(d_2) - v(d_1).
     """
     field = m.field
     v_det = field.valuation(m.det())

@@ -356,6 +356,27 @@ def trace_form_is_cr(rep) -> bool:
     return rref(rep.field, gram).rank == len(basis)
 
 
+def gcd_minor_valuations(field, m: Matrix) -> tuple:
+    """Oracle: elementary divisor valuations from the determinantal divisors.
+
+    The k-th determinantal divisor d_k is the gcd of the k x k minors, so
+    v(d_k) is their least valuation, and e_k = v(d_k) - v(d_{k-1}).
+    """
+    n = m.n
+
+    def least(k):
+        out = []
+        for ri in itertools.combinations(range(n), k):
+            for ci in itertools.combinations(range(n), k):
+                sub = Matrix(field, tuple(tuple(m.data[i][j] for j in ci) for i in ri))
+                if not field.is_zero(sub.det()):
+                    out.append(field.valuation(sub.det()))
+        return min(out)
+
+    gk = [0] + [least(k) for k in range(1, n + 1)]
+    return tuple(gk[k] - gk[k - 1] for k in range(1, n + 1))
+
+
 # ---------------------------------------------------------------------------
 # seeded block tuples of split and non-split shapes (the "floor" corpus; its
 # name and seeds are kept from the dimension floor it once tested, so its

@@ -416,3 +416,11 @@ class TestLazyNumpy:
         assert ATTAINED == symspace.ATTAINED
         with pytest.raises(AttributeError):
             getattr(localrep, "no_such_name")
+
+    def test_every_exported_name_resolves(self):
+        import localrep
+
+        assert len(set(localrep.__all__)) == len(localrep.__all__)
+        for name in localrep.__all__:
+            assert getattr(localrep, name) is not None, name
+        assert localrep._SYMSPACE_NAMES <= set(localrep.__all__)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localrep import Field, Matrix, rref, smith_padic
-from localrep.errors import SingularMatrixError, WrongFieldError
+from localrep import Field, Matrix, rref
+from localrep.errors import SingularMatrixError
 from localrep.fields import REAL_TOLERANCE
-from localrep.linalg import RrefResult, elementary_divisor_valuations, solve_linear
+from localrep.linalg import RrefResult, solve_linear
 
 Q5 = Field.padic(5)
 F3 = Field.funcfield(3)
@@ -341,7 +341,7 @@ class TestInvert:
     def test_real_inverse_norm(self):
         m = Matrix.from_rows(R, [[2.0, 1.0], [1.0, 1.0]])
         prod = m * m.inv()
-        assert prod.is_identity()
+        assert prod == Matrix.identity(R, 2)
 
 
 class TestRealZeroTestKnownFault:
@@ -352,74 +352,9 @@ class TestRealZeroTestKnownFault:
         for rows in ([[1e10, 0], [0, 1]], [[1, 0], [0, 1e10]]):
             assert Matrix.from_rows(R, rows).det() == pytest.approx(1e10)
 
-
-def _gcd_minor_valuations(field, m: Matrix):
-    """Oracle: valuation of the k-th divisor from gcds of k x k minors."""
-    n = m.n
-
-    def dets(k):
-        out = []
-        for ri in itertools.combinations(range(n), k):
-            for ci in itertools.combinations(range(n), k):
-                sub = Matrix(field, tuple(
-                    tuple(m.data[i][j] for j in ci) for i in ri
-                ))
-                if not field.is_zero(sub.det()):
-                    out.append(field.valuation(sub.det()))
-        return min(out)
-
-    gk = [0] + [dets(k) for k in range(1, n + 1)]
-    return tuple(gk[k] - gk[k - 1] for k in range(1, n + 1))
-
-
-class TestSmith:
-    def test_already_diagonal(self):
-        m = Matrix.from_rows(Q5, [[25, 0], [0, 1]])
-        k1, a, k2 = smith_padic(m)
-        assert k1 * a * k2 == m
-        assert [a.data[i][i] for i in range(2)] == [Fraction(1), Fraction(25)]
-
-    def test_elementary_divisors_vs_minor_oracle(self):
-        m = Matrix.from_rows(Q5, [[1, 1], [0, 5]])
-        assert elementary_divisor_valuations(m) == (0, 1)
-        assert _gcd_minor_valuations(Q5, m) == (0, 1)
-        rng = random.Random(4)
-        for _ in range(20):
-            rows = [[Fraction(rng.randint(-20, 20), rng.choice([1, 5]))
-                     for _ in range(3)] for _ in range(3)]
-            m = Matrix(Q5, tuple(tuple(r) for r in rows))
-            if Q5.is_zero(m.det()):
-                continue
-            assert elementary_divisor_valuations(m) == _gcd_minor_valuations(Q5, m)
-
-    def test_unimodular_gives_identity(self):
-        m = Matrix.from_rows(Q5, [[2, 1], [1, 1]])  # integral, det 1
-        _, a, _ = smith_padic(m)
-        assert a == Matrix.identity(Q5, 2)
-
-    def test_round_trip_200_random(self):
-        rng = random.Random(99)
-        done = 0
-        while done < 200:
-            n = rng.choice([2, 3])
-            rows = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-            m = Matrix(Q5, tuple(tuple(r) for r in rows))
-            if Q5.is_zero(m.det()):
-                continue
-            k1, a, k2 = smith_padic(m)
-            assert k1 * a * k2 == m
-            # outer factors are p-adic units as matrices
-            for k in (k1, k2):
-                assert k.min_valuation() >= 0
-                assert Q5.valuation(k.det()) == 0
-            exps = [Q5.valuation(a.data[i][i]) for i in range(n)]
-            assert exps == sorted(exps)
-            done += 1
-
-    def test_wrong_field(self):
-        with pytest.raises(WrongFieldError):
-            smith_padic(Matrix.identity(F3, 2))
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            smith_padic(Matrix.from_rows(Q5, [[1, 1], [1, 1]]))
+    @pytest.mark.xfail(strict=True, reason=(
+        "Matrix.inv reduces [g | I] in one Echelon, whose zero test scales with "
+        "the largest entry inserted, 1e5, so the inverse's 1e-5 is cleared to 0.0; "
+        "every real inv caller inherits it (ROADMAP items 5 and 11)"))
+    def test_inverse_keeps_small_entries(self):
+        assert Matrix.from_rows(R, [[1e5]]).inv().data[0][0] == pytest.approx(1e-5)

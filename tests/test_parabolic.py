@@ -12,17 +12,9 @@ from localrep import (
     Representation,
     build_neighbors,
     contract_limit,
-    contract_unipotent,
-    levi_decompose,
-    levi_project,
     semisimplify,
 )
-from localrep.errors import (
-    LeviMismatchError,
-    NotInBigCellError,
-    NotParabolicError,
-    NotUnipotentError,
-)
+from localrep.errors import LeviMismatchError, NotParabolicError
 
 Q5 = Field.padic(5)
 F3 = Field.funcfield(3)
@@ -104,161 +96,19 @@ def opposite_pair(field, rng, sizes, symbols=("a", "b")):
     return Representation(field, minus), Representation(field, plus), blocks
 
 
-def reference_levi_decompose(g, blocks):
-    """Block LDU by its own block elimination, pivoting on whole diagonal blocks.
-
-    The oracle for ``levi_decompose``: each pivot block's det is tested
-    against the scale of g, then its rows clear the blocks below (giving u)
-    and its columns the blocks to the right (giving n).  What remains is r.
-    """
-    f = g.field
-    b = blocks.boundaries
-    k = blocks.k
-    work = [list(row) for row in g.data]
-    sc = g.entry_scale()
-    u = [[f.one() if i == j else f.zero() for j in range(g.n)] for i in range(g.n)]
-    n_mat = [[f.one() if i == j else f.zero() for j in range(g.n)] for i in range(g.n)]
-    for bj in range(k):
-        lo, hi = b[bj], b[bj + 1]
-        pivot = Matrix(f, tuple(tuple(work[i][j] for j in range(lo, hi)) for i in range(lo, hi)))
-        if f.is_zero(pivot.det(), sc):
-            raise NotInBigCellError(f"leading principal block {bj} is singular")
-        pinv = pivot.inv()
-        for bi in range(bj + 1, k):
-            rlo, rhi = b[bi], b[bi + 1]
-            factor = [
-                [sum((work[i][m] * pinv.data[m - lo][jj] for m in range(lo, hi)),
-                     start=f.zero())
-                 for jj in range(hi - lo)]
-                for i in range(rlo, rhi)
-            ]
-            for ii in range(rlo, rhi):
-                for jj in range(lo, hi):
-                    u[ii][jj] = factor[ii - rlo][jj - lo]
-                for col in range(g.n):
-                    acc = work[ii][col]
-                    for m in range(lo, hi):
-                        acc = acc - factor[ii - rlo][m - lo] * work[m][col]
-                    work[ii][col] = acc
-        for bi in range(bj + 1, k):
-            clo, chi = b[bi], b[bi + 1]
-            factor = [
-                [sum((pinv.data[ii][m - lo] * work[m][j] for m in range(lo, hi)),
-                     start=f.zero())
-                 for j in range(clo, chi)]
-                for ii in range(hi - lo)
-            ]
-            for ii in range(lo, hi):
-                for jj in range(clo, chi):
-                    n_mat[ii][jj] = factor[ii - lo][jj - clo]
-            for row in range(g.n):
-                for jj in range(clo, chi):
-                    acc = work[row][jj]
-                    for m in range(lo, hi):
-                        acc = acc - work[row][m] * factor[m - lo][jj - clo]
-                    work[row][jj] = acc
-    return Matrix(f, u), Matrix(f, work), Matrix(f, n_mat)
-
-
 ORACLE_SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (1, 2, 1))
-LDU_SHAPES = ((1, 1), (2, 1), (1, 2), (1, 2, 1), (2, 1, 2), (1, 1, 1, 1), (3, 2))
-
-
-class TestLeviDecompose:
-    def test_block_diagonal_fixed(self):
-        g = Matrix.from_rows(Q5, [[2, 0], [0, 3]])
-        u, r, n = levi_decompose(g, B11)
-        assert (u, r, n) == (Matrix.identity(Q5, 2), g, Matrix.identity(Q5, 2))
-
-    def test_two_by_two_example(self):
-        g = Matrix.from_rows(Q5, [[1, 1], [1, 2]])
-        u, r, n = levi_decompose(g, B11)
-        assert u == Matrix.from_rows(Q5, [[1, 0], [1, 1]])
-        assert r == Matrix.identity(Q5, 2)
-        assert n == Matrix.from_rows(Q5, [[1, 1], [0, 1]])
-        assert u * r * n == g
-
-    def test_uniqueness_round_trip(self):
-        rng = random.Random(3)
-        blocks = BlockStructure(3, (2, 1))
-        for _ in range(10):
-            rows = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-            g = Matrix(Q5, tuple(tuple(r) for r in rows))
-            try:
-                u, r, n = levi_decompose(g, blocks)
-            except NotInBigCellError:
-                continue
-            assert u * r * n == g
-            assert levi_decompose(u * r * n, blocks) == (u, r, n)
-
-    def test_outside_big_cell(self):
-        with pytest.raises(NotInBigCellError):
-            levi_decompose(Matrix.from_rows(Q5, [[0, 1], [1, 0]]), B11)
-
-    @pytest.mark.parametrize("entries", [(1.0, 1e5), (1e5, 1.0), (1e-5, 1.0)])
-    def test_real_wide_diagonal_is_fixed(self, entries):
-        # entries 1e5 apart: inverting g as a whole clears its small entries over R
-        g = Matrix.diagonal(R, entries)
-        u, r, n = levi_decompose(g, B11)
-        assert (u.data, r.data, n.data) == (Matrix.identity(R, 2).data, g.data,
-                                            Matrix.identity(R, 2).data)
-
-    @pytest.mark.parametrize("field", [Q5, F3, R], ids=["Q5", "F3T", "R"])
-    @pytest.mark.parametrize("sizes", LDU_SHAPES)
-    def test_matches_block_elimination(self, field, sizes):
-        """The same (u, r, n) as eliminating block by block (exactly on Q5 and
-        F3(T), to tolerance on R), the same inputs outside the big cell, and
-        u and n exactly block unitriangular.  Over R half the draws have rows
-        and columns scaled by 10^-1..10^1, so their entries span up to 1e7."""
-        blocks = BlockStructure(sum(sizes), sizes)
-        size = blocks.n
-        owner = [bi for bi, s in enumerate(sizes) for _ in range(s)]
-        choices = {"padic": [0, 0, 1, -1, 2, 5, "1/5", "3/25"],
-                   "funcfield": ["0", "0", "1", "2", "T", "T+2", "1/T"]}.get(field.kind)
-        rng = random.Random(f"ldu:{field.kind}:{sizes}")
-        one, zero = field.one(), field.zero()
-        draws = [[[rng.choice(choices) if choices else round(rng.uniform(-3, 3), 3)
-                   for _ in range(size)] for _ in range(size)] for _ in range(40)]
-        if field.is_real:
-            for _ in range(40):
-                d = [10.0 ** rng.randint(-1, 1) for _ in range(2 * size)]
-                draws.append([[round(rng.uniform(-3, 3), 3) * d[i] * d[size + j]
-                               for j in range(size)] for i in range(size)])
-        outside = 0
-        for rows in draws:
-            g = Matrix.from_rows(field, rows)
-            try:
-                want = reference_levi_decompose(g, blocks)
-            except NotInBigCellError:
-                outside += 1
-                with pytest.raises(NotInBigCellError):
-                    levi_decompose(g, blocks)
-                continue
-            u, r, n = levi_decompose(g, blocks)
-            if field.is_real:
-                assert (u, r, n) == want
-                assert u * r * n == g
-            else:
-                assert (u.data, r.data, n.data) == tuple(m.data for m in want)
-            for i in range(size):
-                for j in range(size):
-                    unit = one if i == j else zero
-                    if owner[i] <= owner[j]:
-                        assert u.data[i][j] == unit
-                    if owner[i] >= owner[j]:
-                        assert n.data[i][j] == unit
-        # the exact draws reach outside the big cell; the real ones never do
-        assert (outside > 0) != field.is_real
 
 
 class TestLeviProject:
+    """The Levi projection of a block triangular matrix is ``diagonal_part``."""
+
     def test_unipotent_projects_to_identity(self):
         g = Matrix.from_rows(Q5, [[1, 1], [0, 1]])
-        assert levi_project(g, B11) == Matrix.identity(Q5, 2)
+        assert B11.diagonal_part(g) == Matrix.identity(Q5, 2)
 
     def test_identity_on_block_diagonal(self):
         g = Matrix.from_rows(Q5, [[2, 0], [0, 3]])
-        assert levi_project(g, B11) == g
+        assert B11.diagonal_part(g) == g
 
     def test_multiplicative(self):
         rng = random.Random(8)
@@ -272,12 +122,17 @@ class TestLeviProject:
 
         for _ in range(8):
             g, h = rnd_upper(), rnd_upper()
-            assert levi_project(g * h, blocks) == \
-                levi_project(g, blocks) * levi_project(h, blocks)
+            assert blocks.is_block_triangular(g) and blocks.is_block_triangular(h)
+            assert blocks.diagonal_part(g * h) == \
+                blocks.diagonal_part(g) * blocks.diagonal_part(h)
 
     def test_not_parabolic_raises(self):
+        """Only block triangular tuples are projected: a generator of the
+        wrong side is refused before its diagonal part is read."""
+        seq = FundamentalSequence.default(B11, Q5)
+        lower = Representation.from_entries(Q5, {"a": [[1, 0], [1, 1]]})
         with pytest.raises(NotParabolicError):
-            levi_project(Matrix.from_rows(Q5, [[1, 0], [1, 1]]), B11, side="upper")
+            build_neighbors(lower, lower, B11, seq, 3)
 
 
 class TestFundamentalSequence:
@@ -343,6 +198,14 @@ class TestContractLimit:
         assert rpt.entries[0].values == (1.0, 1e-200, 0.0, 0.0, 0.0)
         assert rpt.entries[0].increments == (1e-200,) * 4
 
+    def test_threshold_reached_at_imax(self):
+        """Exact fields: the last value of every tracked entry reaches the
+        valuation threshold (20), or the report says it did not."""
+        seq = FundamentalSequence(B11, Matrix.from_rows(Q5, [["1/5", 0], [0, 1]]))
+        g = Matrix.from_rows(Q5, [[1, 1], [0, 1]])
+        assert contract_limit(g, seq, 19).threshold_reached is False
+        assert contract_limit(g, seq, 20).threshold_reached is True
+
     def test_not_parabolic(self):
         seq = FundamentalSequence.default(B11, Q5)
         with pytest.raises(NotParabolicError):
@@ -395,35 +258,42 @@ class TestContractLimit:
                 assert rpt.verdict == "CONVERGES_TO_LEVI", entry.name
                 ss_in_flag = hinv * ss.rho_ss.gens[s] * h
                 assert rpt.limit == ss_in_flag, entry.name
-                assert rpt.limit == levi_project(t, blocks), entry.name
+                assert blocks.is_block_triangular(t), entry.name
+                assert rpt.limit == blocks.diagonal_part(t), entry.name
+
+
+def contracts_by_last(nseq, seq):
+    """Does base^-i n_i base^i reach the identity threshold by the last index?
+
+    The list stands for a bounded sequence of block upper unitriangular
+    matrices; unboundedness shows up as missing valuation growth, read off
+    :func:`contract_limit` of the last member.
+    """
+    last = len(nseq) - 1
+    return contract_limit(nseq[last], seq, last).threshold_reached
 
 
 class TestContractUnipotent:
     def test_constant_sequence(self):
         seq = FundamentalSequence(B11, Matrix.from_rows(Q5, [["1/5", 0], [0, 1]]))
         ns = [Matrix.from_rows(Q5, [[1, 1], [0, 1]])] * 22
-        assert contract_unipotent(ns, seq) is True
+        assert contracts_by_last(ns, seq) is True
 
     def test_bounded_varying_sequence(self):
         seq = FundamentalSequence(B11, Matrix.from_rows(Q5, [["1/5", 0], [0, 1]]))
         ns = [Matrix.from_rows(Q5, [[1, i % 3], [0, 1]]) for i in range(25)]
-        assert contract_unipotent(ns, seq) is True
+        assert contracts_by_last(ns, seq) is True
 
     def test_unbounded_sequence_fails(self):
         seq = FundamentalSequence(B11, Matrix.from_rows(Q5, [["1/5", 0], [0, 1]]))
         ns = [Matrix.from_rows(Q5, [[1, Fraction(1, 5 ** i)], [0, 1]])
               for i in range(25)]
-        assert contract_unipotent(ns, seq) is False
+        assert contracts_by_last(ns, seq) is False
 
     def test_real_magnitude_underflow(self):
         seq = FundamentalSequence(B11, Matrix.diagonal(R, [1.0, 1e-200]))
         ns = [Matrix.from_rows(R, [[1.0, 1.0], [0.0, 1.0]])] * 5
-        assert contract_unipotent(ns, seq) is True
-
-    def test_rejects_non_unipotent(self):
-        seq = FundamentalSequence.default(B11, Q5)
-        with pytest.raises(NotUnipotentError):
-            contract_unipotent([Matrix.from_rows(Q5, [[2, 1], [0, 1]])], seq)
+        assert contracts_by_last(ns, seq) is True
 
 
 class TestBuildNeighbors:
@@ -442,8 +312,6 @@ class TestBuildNeighbors:
         rho_minus = Representation.from_entries(Q5, {"a": [[2, 0], [1, 3]]})
         rho_plus = Representation.from_entries(Q5, {"a": [[2, 1], [0, 3]]})
         trace = build_neighbors(rho_minus, rho_plus, B11, seq, 4)
-        u, r, n = levi_decompose(
-            Matrix.from_rows(Q5, [[2, 1], [1, Fraction(7, 2)]]), B11)
         # at i = 0 the path starts at u * r * n' with the constructed parts
         got = trace.initial["a"]
         lev = Matrix.from_rows(Q5, [[2, 0], [0, 3]])

@@ -9,8 +9,7 @@ from localrep import (
     FundamentalSequence,
     Matrix,
     Representation,
-    are_conjugate_ss,
-    lambda_class_invariant,
+    minimize_displacement,
     project,
     same_point_in_Xcr,
     semisimplify,
@@ -63,7 +62,7 @@ class TestProject:
 
 
 class TestOneComparabilityCheck:
-    """``are_conjugate_ss`` and the quotient layer refuse a mismatched pair alike."""
+    """Every comparison of the quotient layer refuses a mismatched pair alike."""
 
     @pytest.mark.parametrize("other, error", [
         (rep(F3, {"a": [[1, 0], [0, 1]]}), FieldMismatchError),
@@ -73,8 +72,7 @@ class TestOneComparabilityCheck:
     def test_same_errors_and_messages(self, other, error):
         rho = rep(Q5, {"a": [[2, 0], [0, 3]]})
         messages = set()
-        for compare in (are_conjugate_ss, same_point_in_Xcr,
-                        lambda r1, r2: separation_experiment([r1, r2])):
+        for compare in (same_point_in_Xcr, lambda r1, r2: separation_experiment([r1, r2])):
             with pytest.raises(error) as info:
                 compare(rho, other)
             messages.add(str(info.value))
@@ -127,7 +125,7 @@ class TestTraceBlindPair:
         assert trace_fingerprint(self.a, 4) == trace_fingerprint(self.b, 4)
 
     def test_not_conjugate(self):
-        assert are_conjugate_ss(self.a, self.b) is False
+        assert same_class(self.a, self.b)[0] is False
 
     def test_different_points(self):
         assert same_point_in_Xcr(self.a, self.b) is False
@@ -235,26 +233,31 @@ class TestSameClassFirst:
 
 
 class TestLambdaInvariant:
+    """``project(rho).lam``: the minimum displacement of the projected class."""
+
     def test_identity_is_zero(self):
-        assert lambda_class_invariant(rep(R, {"a": [[1, 0], [0, 1]]})) == 0.0
+        assert project(rep(R, {"a": [[1, 0], [0, 1]]})).lam == 0.0
 
     def test_unipotent_class_is_zero(self):
         # the projected class is trivial, where the infimum is attained at 0
-        assert lambda_class_invariant(rep(R, {"a": [[1, 1], [0, 1]]})) < 1e-6
+        assert project(rep(R, {"a": [[1, 1], [0, 1]]})).lam < 1e-6
 
     def test_diagonal_closed_form(self):
-        lam = lambda_class_invariant(rep(R, {"a": [[math.e, 0], [0, 1 / math.e]]}))
+        lam = project(rep(R, {"a": [[math.e, 0], [0, 1 / math.e]]})).lam
         assert abs(lam - 2 * math.sqrt(2)) < 1e-3
 
     def test_rejects_exact_fields(self):
+        # the minimiser refuses exact fields, so their classes carry no lambda
+        rho = rep(Q5, {"a": [[2, 0], [0, 3]]})
+        assert project(rho).lam is None
         with pytest.raises(NotRealFieldError):
-            lambda_class_invariant(rep(Q5, {"a": [[2, 0], [0, 3]]}))
+            minimize_displacement(rho)
 
     def test_properness_proxy_distinct_values_separate(self):
         # members with clearly different lambda lie in different classes
         family = [rep(R, {"a": [[math.e ** k, 0], [0, math.e ** -k]]})
                   for k in range(4)]
-        lams = [lambda_class_invariant(m) for m in family]
+        lams = [project(m).lam for m in family]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert abs(lams[i] - lams[j]) > 1e-2
@@ -266,11 +269,11 @@ class TestLambdaInvariant:
         rho_minus = rep(R, {"a": [[2, 0], [1, 0.5]]})
         rho_plus = rep(R, {"a": [[2, 1], [0, 0.5]]})
         imax = 40
-        lam_limit = lambda_class_invariant(rho_minus)
+        lam_limit = project(rho_minus).lam
         # the path rho_i converges to rho_minus; its class invariant follows
         us = rho_minus.gens["a"] * blocks.diagonal_part(rho_minus.gens["a"]).inv()
         rs = blocks.diagonal_part(rho_minus.gens["a"])
         ns = rs.inv() * rho_plus.gens["a"]
         rho_i = Representation(R, {"a": us * rs * seq.conjugate_power(ns, imax)})
-        assert abs(lambda_class_invariant(rho_i) - lam_limit) <= 1e-3
+        assert abs(project(rho_i).lam - lam_limit) <= 1e-3
 

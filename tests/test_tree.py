@@ -14,8 +14,9 @@ from localrep import (
     vertex_displacement,
 )
 from localrep.errors import BadParameterError, PrimeMismatchError
-from localrep.linalg import elementary_divisor_valuations
 from localrep.tree import _descent_move, _primitive, ball, elementary_spread
+
+from conftest import gcd_minor_valuations
 
 F5 = Field.padic(5)
 
@@ -55,6 +56,7 @@ class TestMetric:
             tree_dist(TreeVertex.standard(2), TreeVertex.standard(3))
 
     def test_spread_agrees_with_smith(self):
+        """e_2 - e_1 of the Smith form, read off the determinantal divisors."""
         rng = random.Random(6)
         for _ in range(60):
             p = rng.choice([2, 3, 5])
@@ -65,7 +67,7 @@ class TestMetric:
                      for _ in range(2)] for _ in range(2)])
                 if not Fp.is_zero(m.det()):
                     break
-            e = elementary_divisor_valuations(m)
+            e = gcd_minor_valuations(Fp, m)
             assert elementary_spread(m) == e[1] - e[0]
 
     @pytest.mark.parametrize("p", [2, 3])
