@@ -10,7 +10,6 @@ from .reptheory import (
     composition_series,
     is_cr,
     is_nonparabolic,
-    probe_seed,
     semisimplify,
     spin,
     trace_fingerprint,
@@ -40,7 +39,7 @@ __all__ = [
     "Field", "FpPoly", "FpRat", "INFINITY",
     "Matrix", "rref", "solve_linear",
     "InvariantFlag", "Representation", "Semisimplification",
-    "composition_series", "is_cr", "is_nonparabolic", "probe_seed",
+    "composition_series", "is_cr", "is_nonparabolic",
     "semisimplify", "spin", "trace_fingerprint",
     "BlockStructure", "FundamentalSequence", "build_neighbors", "contract_limit",
     "ATTAINED", "DIVERGED", "MAXITER", "DisplacementReport", "SPDPoint",

@@ -3,8 +3,7 @@
 Reads representation files, runs the requested analysis and prints one JSON
 report to stdout.  Exit codes: 0 success, 2 input parse error, 3 violated
 precondition (e.g. displacement minimisation on a non-real input).
-Diagnostics go to stderr.  Identical jobs with identical seeds produce
-byte-identical output.
+Diagnostics go to stderr.  Identical jobs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,13 +16,7 @@ from . import jsonio, quotient, tree
 from .errors import LocalRepError, ParseError
 from .fields import Field
 from .parabolic import BlockStructure, FundamentalSequence, build_neighbors
-from .reptheory import (
-    PROBE_SEED,
-    is_cr,
-    is_nonparabolic,
-    probe_seed,
-    semisimplify,
-)
+from .reptheory import is_cr, is_nonparabolic, semisimplify
 
 COMMANDS = ("analyze", "semisimplify", "separate", "minimize", "tree",
             "degenerate", "counterexample")
@@ -37,7 +30,6 @@ class JobSpec:
     imax: int = 12
     radius: int = 4
     budget: int = 5000
-    seed: int = PROBE_SEED
     p: int | None = None
     t: str | None = None
     blocks: str | None = None
@@ -88,65 +80,64 @@ def _infer_blocks(job: JobSpec, rho_minus, rho_plus) -> BlockStructure:
 def run(job: JobSpec):
     """Execute a job; returns (exit_code, payload)."""
     payload = {"schema": jsonio.SCHEMA_VERSION, "command": job.command}
-    with probe_seed(job.seed):
-        if job.command == "analyze":
-            rho = _load_rep(job.input)
-            irreducible, flag = is_nonparabolic(rho)
-            cr = is_cr(rho)
-            ss = semisimplify(rho)
-            payload.update({
-                "nonparabolic": irreducible,
-                "cr": bool(cr),
-                "certificate": None if flag is None else jsonio.flag_to_json(flag),
-                "ss": jsonio.representation_to_json(ss.rho_ss),
-                "flag": jsonio.flag_to_json(ss.flag),
-            })
-        elif job.command == "semisimplify":
-            rho = _load_rep(job.input)
-            ss = semisimplify(rho)
-            payload.update(jsonio.semisimplification_to_json(ss))
-            payload["block_sizes"] = list(ss.flag.block_sizes)
-        elif job.command == "separate":
-            family = jsonio.family_from_json(jsonio.load_json_file(job.input))
-            result = quotient.separation_experiment(family, budget=job.budget)
-            payload.update(result.to_json_dict())
-        elif job.command == "minimize":
-            from . import symspace  # the only command that needs numpy
+    if job.command == "analyze":
+        rho = _load_rep(job.input)
+        irreducible, flag = is_nonparabolic(rho)
+        cr = is_cr(rho)
+        ss = semisimplify(rho)
+        payload.update({
+            "nonparabolic": irreducible,
+            "cr": bool(cr),
+            "certificate": None if flag is None else jsonio.flag_to_json(flag),
+            "ss": jsonio.representation_to_json(ss.rho_ss),
+            "flag": jsonio.flag_to_json(ss.flag),
+        })
+    elif job.command == "semisimplify":
+        rho = _load_rep(job.input)
+        ss = semisimplify(rho)
+        payload.update(jsonio.semisimplification_to_json(ss))
+        payload["block_sizes"] = list(ss.flag.block_sizes)
+    elif job.command == "separate":
+        family = jsonio.family_from_json(jsonio.load_json_file(job.input))
+        result = quotient.separation_experiment(family, budget=job.budget)
+        payload.update(result.to_json_dict())
+    elif job.command == "minimize":
+        from . import symspace  # the only command that needs numpy
 
-            rho = _load_rep(job.input)
-            report = symspace.minimize_displacement(rho, budget=job.budget)
-            payload.update(report.to_json_dict())
-        elif job.command == "tree":
-            rho = _load_rep(job.input)
-            if rho.field.kind != "padic" or rho.n != 2:
-                raise LocalRepError("tree analysis needs a 2x2 p-adic input")
-            gens = {}
-            for sym, m in rho.gens.items():
-                ell, witness = tree.translation_length(m, job.radius)
-                gens[sym] = {
-                    "translation_length": ell,
-                    "witness": list(witness.canonical_key()),
-                    "displacement_at_base": tree.vertex_displacement(
-                        m, tree.TreeVertex.standard(rho.field.p)),
-                }
-            payload["generators"] = gens
-            payload["radius"] = job.radius
-        elif job.command == "degenerate":
-            rho_minus = _load_rep(job.input)
-            if job.input2 is None:
-                raise ParseError("degenerate needs --input2")
-            rho_plus = _load_rep(job.input2)
-            blocks = _infer_blocks(job, rho_minus, rho_plus)
-            seq = FundamentalSequence.default(blocks, rho_minus.field)
-            trace = build_neighbors(rho_minus, rho_plus, blocks, seq, job.imax)
-            payload.update(trace.to_json_dict())
-        elif job.command == "counterexample":
-            if job.p is None or job.t is None:
-                raise ParseError("counterexample needs --p and --t")
-            # the p-adic field parses --t, so a bad literal is a ParseError
-            report = tree.product_counterexample(
-                job.p, job.t, imax=job.imax, radius=job.radius)
-            payload.update(report.to_json_dict())
+        rho = _load_rep(job.input)
+        report = symspace.minimize_displacement(rho, budget=job.budget)
+        payload.update(report.to_json_dict())
+    elif job.command == "tree":
+        rho = _load_rep(job.input)
+        if rho.field.kind != "padic" or rho.n != 2:
+            raise LocalRepError("tree analysis needs a 2x2 p-adic input")
+        gens = {}
+        for sym, m in rho.gens.items():
+            ell, witness = tree.translation_length(m, job.radius)
+            gens[sym] = {
+                "translation_length": ell,
+                "witness": list(witness.canonical_key()),
+                "displacement_at_base": tree.vertex_displacement(
+                    m, tree.TreeVertex.standard(rho.field.p)),
+            }
+        payload["generators"] = gens
+        payload["radius"] = job.radius
+    elif job.command == "degenerate":
+        rho_minus = _load_rep(job.input)
+        if job.input2 is None:
+            raise ParseError("degenerate needs --input2")
+        rho_plus = _load_rep(job.input2)
+        blocks = _infer_blocks(job, rho_minus, rho_plus)
+        seq = FundamentalSequence.default(blocks, rho_minus.field)
+        trace = build_neighbors(rho_minus, rho_plus, blocks, seq, job.imax)
+        payload.update(trace.to_json_dict())
+    elif job.command == "counterexample":
+        if job.p is None or job.t is None:
+            raise ParseError("counterexample needs --p and --t")
+        # the p-adic field parses --t, so a bad literal is a ParseError
+        report = tree.product_counterexample(
+            job.p, job.t, imax=job.imax, radius=job.radius)
+        payload.update(report.to_json_dict())
     return 0, payload
 
 
@@ -177,8 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="most tree descent steps (1..6)")
         sp.add_argument("--budget", type=int, default=JobSpec.budget,
                         help="optimizer iteration budget")
-        sp.add_argument("--seed", default=hex(PROBE_SEED),
-                        help="hex seed for the deterministic probe batches")
         sp.add_argument("--p", type=int, help="prime (counterexample)")
         sp.add_argument("--t", help="rational parameter with |t| > 1 (counterexample)")
         sp.add_argument("--blocks", help="comma-separated block sizes (degenerate)")
@@ -188,11 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # the parser's dests are exactly JobSpec's fields
     fields = vars(_build_parser().parse_args(argv))
-    try:
-        fields["seed"] = int(fields["seed"], 16)
-    except ValueError:
-        print("error: --seed must be a hex integer", file=sys.stderr)
-        return 2
     try:
         job = JobSpec(**fields)
         code, payload = run(job)

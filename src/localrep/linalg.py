@@ -161,6 +161,12 @@ class Matrix:
                 return self.field.zero()
         return ech.det()
 
+    def is_singular(self) -> bool:
+        """Rank below n under :class:`Echelon`'s zero test, the rule of ``det``,
+        ``inv`` and :func:`rref`; the one singularity test of the package."""
+        ech = Echelon(self.field)
+        return not all(ech.insert(row) for row in self.data)
+
     def inv(self) -> "Matrix":
         return Matrix(self.field, _inverse(self.field, self.data))
 

@@ -343,12 +343,8 @@ def _difference_table(field: Field, terms, imax: int, scale: float):
 
 def _leading_minors_nonzero(r: Matrix, blocks: BlockStructure) -> bool:
     """Are the leading principal minors of r at the block boundaries nonzero?"""
-    f = r.field
-    for end in blocks.boundaries[1:]:
-        top = Matrix(f, tuple(row[:end] for row in r.data[:end]))
-        if f.is_zero(top.det(), top.entry_scale()):
-            return False
-    return True
+    return not any(Matrix(r.field, tuple(row[:end] for row in r.data[:end])).is_singular()
+                   for end in blocks.boundaries[1:])
 
 
 def build_neighbors(rho_minus: Representation, rho_plus: Representation,

@@ -23,14 +23,15 @@ from .reptheory import (
 )
 
 FINGERPRINT_LENGTH = 6
+LAMBDA_BUDGET = 5000  # the descent budget of project's lam
 
 
 @dataclass(frozen=True)
 class CrClass:
     """A point of the separated quotient: a cr representative plus invariants.
 
-    ``fingerprint`` holds the traces of all freely reduced words up to the
-    configured length in shortlex order; ``lam`` is the minimum displacement
+    ``fingerprint`` holds the traces of all freely reduced words up to
+    ``FINGERPRINT_LENGTH`` in shortlex order; ``lam`` is the minimum displacement
     (real field only).
     """
 
@@ -39,12 +40,11 @@ class CrClass:
     lam: float | None = None
 
 
-def project(rho: Representation, word_len: int = FINGERPRINT_LENGTH,
-            budget: int = 5000, with_lambda: bool = True) -> CrClass:
+def project(rho: Representation, with_lambda: bool = True) -> CrClass:
     """Semisimplify and package the class invariants."""
     canonical = semisimplify(rho).rho_ss
-    fingerprint = trace_fingerprint(canonical, word_len)
-    lam = _lam(canonical, budget) if rho.field.is_real and with_lambda else None
+    fingerprint = trace_fingerprint(canonical, FINGERPRINT_LENGTH)
+    lam = _lam(canonical, LAMBDA_BUDGET) if rho.field.is_real and with_lambda else None
     return CrClass(canonical=canonical, fingerprint=fingerprint, lam=lam)
 
 

@@ -9,15 +9,17 @@ simultaneous conjugacy of semisimple tuples.
 
 All three module-structure decisions read one thing: the tuple's split
 (:func:`split_at`) at the first invariant subspace W the search certifies,
-built once per tuple and probe seed (:func:`_split`).  The split
-conjugates by one adapted basis b, kept with its inverse, so each
-generator becomes [[A, B], [0, D]].  The composition series refines the A
+built once per tuple (:func:`_split`).  The split conjugates by one
+adapted basis b, kept with its inverse, so each generator becomes
+[[A, B], [0, D]].  The composition series refines the A
 tuple (rho|_W) and the D tuple (rho_{V/W}), and carries h^-1 down the
 same tree; complete reducibility asks whether A X - X D = B is solvable
 and recurses on the same two tuples, so both questions share one split
 tree and each battery runs once.  Spins and the word algebra close under
 the generators alone: in finite dimension m(U) in U gives m^-1(U) = U, and
-m^-1 lies in K[m] (Cayley-Hamilton).
+m^-1 lies in K[m] (Cayley-Hamilton).  The seeded probes and intertwiner
+draws all use the one seed ``PROBE_SEED``, so every answer is a function
+of the tuple alone.
 
 Every negative verdict is certified: routines that report a reducible module
 return an invariant flag whose invariance is re-verified exactly before it is
@@ -26,8 +28,6 @@ handed out.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import random
 from dataclasses import dataclass
@@ -48,23 +48,11 @@ PROBE_SEED = 0x5EED
 INTERTWINER_RANDOM_TRIALS = 64
 FINGERPRINT_TOLERANCE = 1e-6
 
-_active_seed = contextvars.ContextVar("localrep_probe_seed", default=PROBE_SEED)
-
-
-@contextlib.contextmanager
-def probe_seed(seed: int):
-    """Scope a different seed for the deterministic probe batches."""
-    token = _active_seed.set(seed)
-    try:
-        yield
-    finally:
-        _active_seed.reset(token)
-
 
 class Representation:
     """A finite tuple of invertible n x n matrices over one field."""
 
-    __slots__ = ("field", "n", "gens", "_inverses", "_derived")
+    __slots__ = ("field", "n", "gens", "_derived")
 
     def __init__(self, field: Field, gens: dict):
         if not gens:
@@ -80,14 +68,13 @@ class Representation:
                 n = m.n
             elif m.n != n:
                 raise DimensionMismatchError("generators of mixed sizes")
-            if field.is_zero(m.det(), m.entry_scale()):
+            if m.is_singular():
                 raise SingularMatrixError(f"generator {sym!r} is singular")
             mats[sym] = m
         self.field = field
         self.n = n
         self.gens = mats
-        self._inverses = None
-        # "algebra", ("split", seed), ("series", seed) -> built value
+        # "inverses", "algebra", "split", "series" -> built value
         self._derived = {}
 
     @classmethod
@@ -99,9 +86,7 @@ class Representation:
         return tuple(self.gens)
 
     def inverses(self) -> dict:
-        if self._inverses is None:
-            self._inverses = {s: m.inv() for s, m in self.gens.items()}
-        return self._inverses
+        return self._derive("inverses", lambda: {s: m.inv() for s, m in self.gens.items()})
 
     def _derive(self, key, build):
         if key not in self._derived:
@@ -284,7 +269,7 @@ def _probe_vectors(rho: Representation):
     n = rho.n
     one, zero = rho.field.one(), rho.field.zero()
     probes = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
-    rng = random.Random(_active_seed.get())
+    rng = random.Random(PROBE_SEED)
     for _ in range(2 * n):
         raw = [rng.randint(-3, 3) for _ in range(n)]
         vec = tuple(rho.field.coerce(c) for c in raw)
@@ -481,7 +466,7 @@ def invariant_subspace_candidates(rho: Representation):
         comm = intertwiner_space(rho, rho)
         nonscalar = [c for c in comm if not _is_scalar(c)]
         for c in nonscalar:
-            if field.is_zero(c.det(), c.entry_scale()):
+            if c.is_singular():
                 got = check(_kernel_rows(field, c.data))
                 if got:
                     yield got
@@ -489,7 +474,7 @@ def invariant_subspace_candidates(rho: Representation):
             for c in nonscalar:
                 for lam in _rational_eigenvalues(c):
                     shifted = c - Matrix.identity(field, n).scale(lam)
-                    if field.is_zero(shifted.det()):
+                    if shifted.is_singular():
                         got = check(_kernel_rows(field, shifted.data))
                         if got:
                             yield got
@@ -503,7 +488,7 @@ def invariant_subspace_candidates(rho: Representation):
                     cand = cand + c.scale(co)
                 if _is_scalar(cand):
                     continue
-                if field.is_zero(cand.det(), cand.entry_scale()):
+                if cand.is_singular():
                     got = check(_kernel_rows(field, cand.data))
                     if got:
                         yield got
@@ -513,8 +498,8 @@ def _split(rho: Representation):
     """The tuple's :class:`Split` at the first candidate of
     :func:`invariant_subspace_candidates`, or None when there is none.
 
-    Built once per tuple and probe seed, and the only thing the decisions
-    below read.  A battery that raises caches nothing, so a failure is
+    Built once per tuple, and the only thing the decisions below read.
+    A battery that raises caches nothing, so a failure is
     never taken for an empty battery, which would make a reducible tuple
     read as irreducible.
     """
@@ -525,7 +510,7 @@ def _split(rho: Representation):
         rows = next(invariant_subspace_candidates(rho), None)
         return None if rows is None else split_at(rho, rows)
 
-    return rho._derive(("split", _active_seed.get()), build)
+    return rho._derive("split", build)
 
 
 def is_nonparabolic(rho: Representation):
@@ -603,7 +588,7 @@ def _series(rho: Representation):
                 Matrix.block_diagonal(field, (low_inv, high_inv)) * split.inverse,
                 low_leaves + high_leaves)
 
-    return rho._derive(("series", _active_seed.get()), build)
+    return rho._derive("series", build)
 
 
 def composition_series(rho: Representation) -> InvariantFlag:
@@ -706,11 +691,12 @@ def _trace(m: Matrix, d):
     return m.trace() if d is None else m.trace() / d
 
 
-def fingerprints_match(field: Field, fp1, fp2, tol: float = FINGERPRINT_TOLERANCE) -> bool:
+def fingerprints_match(field: Field, fp1, fp2) -> bool:
     if len(fp1) != len(fp2):
         return False
     if field.is_real:
-        return all(abs(a - b) <= tol * max(1.0, abs(a), abs(b)) for a, b in zip(fp1, fp2))
+        return all(abs(a - b) <= FINGERPRINT_TOLERANCE * max(1.0, abs(a), abs(b))
+                   for a, b in zip(fp1, fp2))
     return all(a == b for a, b in zip(fp1, fp2))
 
 
@@ -742,7 +728,7 @@ def _intertwiner_draws(field: Field, n: int, basis):
     k = 1
     while field.kind == "funcfield" and field.p ** k < 2 * n:
         k += 1
-    rng = random.Random(_active_seed.get())
+    rng = random.Random(PROBE_SEED)
     for _ in range(INTERTWINER_RANDOM_TRIALS):
         m = Matrix.zeros(field, n)
         for b in basis:
@@ -764,7 +750,7 @@ def find_invertible_intertwiner(r1: Representation, r2: Representation):
     field = r1.field
     basis = intertwiner_space(r1, r2)
     for m in _intertwiner_draws(field, r1.n, basis):
-        if not field.is_zero(m.det(), m.entry_scale()):
+        if not m.is_singular():
             return m, len(basis)
     return None, len(basis)
 

@@ -33,7 +33,7 @@ class TreeVertex:
     def __init__(self, basis: Matrix):
         if basis.field.kind != "padic":
             raise PrimeMismatchError("tree vertices need the p-adic model")
-        if basis.field.is_zero(basis.det()):
+        if basis.is_singular():
             raise ValueError("basis must be invertible")
         self.basis = basis
         self._key = None

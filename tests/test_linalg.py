@@ -358,3 +358,33 @@ class TestRealZeroTestKnownFault:
         "every real inv caller inherits it (ROADMAP items 5 and 11)"))
     def test_inverse_keeps_small_entries(self):
         assert Matrix.from_rows(R, [[1e5]]).inv().data[0][0] == pytest.approx(1e-5)
+
+
+class TestIsSingular:
+    """``Matrix.is_singular``: rank below n under the zero test of ``det``."""
+
+    @EXACT
+    def test_agrees_with_det_on_exact_fields(self, field):
+        rng = random.Random(f"is-singular:{field.kind}")
+        pool = F3_ENTRIES if field.kind == "funcfield" else range(-3, 4)
+        seen = set()
+        for trial in range(60):
+            n = rng.randint(1, 4)
+            rows = [[field.coerce(rng.choice(pool)) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:  # the last row a combination of the others
+                coeffs = [field.coerce(rng.choice(pool)) for _ in range(n - 1)]
+                rows[-1] = [sum((c * r[j] for c, r in zip(coeffs, rows)), start=field.zero())
+                            for j in range(n)]
+            m = Matrix(field, rows)
+            assert m.is_singular() == field.is_zero(m.det()), rows
+            seen.add(m.is_singular())
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("c", [1e-3, 1e-5])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_small_real_scalars_are_not_singular(self, c, n):
+        assert not Matrix.identity(R, n).scale(c).is_singular()
+
+    def test_real_rank_deficit_is_singular(self):
+        assert Matrix.from_rows(R, [[1e-3, 2e-3, 0], [0, 1e-3, 0], [1e-3, 3e-3, 0]]).is_singular()
+        assert Matrix.from_rows(R, [[2.0, 1.0], [4.0, 2.0]]).is_singular()

@@ -21,12 +21,10 @@ from localrep.cli import JobSpec, run
 from localrep.errors import NotInvariantError
 from localrep import jsonio, reptheory
 from localrep.reptheory import (
-    PROBE_SEED,
     find_invertible_intertwiner,
     intertwiner_space,
     invariant_subspace_candidates,
     iter_reduced_words,
-    probe_seed,
     same_class,
     split_at,
 )
@@ -339,17 +337,16 @@ def _fresh(rho):
     return Representation(rho.field, dict(rho.gens))
 
 
-def _first(rho, seed=PROBE_SEED):
+def _first(rho):
     """The first candidate of a walk on a fresh copy of ``rho``."""
-    with probe_seed(seed):
-        return next(invariant_subspace_candidates(_fresh(rho)), None)
+    return next(invariant_subspace_candidates(_fresh(rho)), None)
 
 
 def _oracle_series(rho):
     """``(basis change, block sizes)``: split at the first candidate of a fresh
     walk, both ends refined through splits of fresh copies."""
     field, n = rho.field, rho.n
-    rows = _first(rho, reptheory._active_seed.get()) if n > 1 else None
+    rows = _first(rho) if n > 1 else None
     if rows is None:
         return Matrix.identity(field, n), (n,)
     k = len(rows)
@@ -364,8 +361,8 @@ def _oracle_series(rho):
     return split.basis * Matrix(field, tuple(tuple(r) for r in blk)), low_sizes + high_sizes
 
 
-# diag(1, 2, 3) seen through a conjugator: the first candidate comes from a
-# seeded probe, so the default seed and seed 1 find different subspaces
+# diag(1, 2, 3) seen through a conjugator: three invariant lines, and the
+# first candidate is one of them
 SEEDED_LINES = ({"a": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}, [[1, 2, 1], [-2, 1, -1], [-1, -2, 1]])
 # [[C, I], [0, C]] with C the companion of x^2 - 2: no probe spin finds the
 # invariant plane; the trace-form radical, after the word algebra, does
@@ -386,43 +383,29 @@ def _conjugated(field, case):
 
 class TestBatteryMemo:
     """The decisions read the split at the battery's first candidate, built once
-    per tuple and seed."""
+    per tuple."""
 
-    def test_battery_runs_once_per_tuple_and_seed(self, floor_corpus, exact_corpus,
-                                                  monkeypatch):
+    def test_battery_runs_once_per_tuple(self, floor_corpus, exact_corpus, monkeypatch):
         runs = []
         original = reptheory.invariant_subspace_candidates
 
         def counted(rho):
-            runs.append((rho, reptheory._active_seed.get()))  # keeps rho, so ids stay unique
+            runs.append(rho)  # keeps rho, so ids stay unique
             return original(rho)
 
         monkeypatch.setattr(reptheory, "invariant_subspace_candidates", counted)
         tuples = [_fresh(rho) for _, rho in floor_corpus] + [_fresh(e.rep) for e in exact_corpus]
         for rho in tuples:
-            for seed in (PROBE_SEED, 1, PROBE_SEED):
-                with probe_seed(seed):
-                    is_nonparabolic(rho)
-                    is_cr(rho)
-                    composition_series(rho)
-                    semisimplify(rho)
-        keys = [(id(rho), seed) for rho, seed in runs]
+            for _ in range(2):
+                is_nonparabolic(rho)
+                is_cr(rho)
+                composition_series(rho)
+                semisimplify(rho)
+        keys = [id(rho) for rho in runs]
         assert len(keys) == len(set(keys))
         for rho in tuples:
             if rho.n > 1:
-                assert (id(rho), PROBE_SEED) in keys and (id(rho), 1) in keys
-
-    def test_probe_seeds_are_kept_apart(self):
-        rho = _conjugated(Q5, SEEDED_LINES)
-        default, other = _first(rho), _first(rho, seed=1)
-        assert default != other
-        for _ in range(2):
-            for seed, rows in ((PROBE_SEED, default), (1, other)):
-                with probe_seed(seed):
-                    ok, flag = is_nonparabolic(rho)
-                    assert not ok and flag == _single_step_flag(rho, rows)
-                    series = composition_series(rho)
-                    assert (series.basis_change, series.block_sizes) == _oracle_series(rho)
+                assert id(rho) in keys
 
     def test_failed_battery_is_not_cached_as_exhausted(self, monkeypatch):
         rho = _conjugated(Q5, NONSPLIT_COMPANION)
@@ -569,20 +552,16 @@ class TestSplit:
                         assert back.data == g.data, name
         assert fields == {"real", "padic", "funcfield"}
 
-    def test_one_split_per_tuple_and_seed(self):
+    def test_one_split_per_tuple(self):
         rho = _conjugated(Q5, SEEDED_LINES)
-        splits = {}
-        for seed in (PROBE_SEED, 1, PROBE_SEED, 1):
-            with probe_seed(seed):
-                split = reptheory._split(rho)
-                assert splits.setdefault(seed, split) is split
-                is_nonparabolic(rho)
-                is_cr(rho)
-                semisimplify(rho)
-                assert rho._derived[("split", seed)] is split
-        assert splits[PROBE_SEED].basis != splits[1].basis
-        assert set(rho._derived) == {("split", PROBE_SEED), ("split", 1),
-                                     ("series", PROBE_SEED), ("series", 1)}
+        split = reptheory._split(rho)
+        for _ in range(2):
+            assert reptheory._split(rho) is split
+            is_nonparabolic(rho)
+            is_cr(rho)
+            semisimplify(rho)
+            assert rho._derived["split"] is split
+        assert set(rho._derived) == {"split", "series"}
 
     @pytest.mark.parametrize("field, gens, rows", [
         (Q5, {"a": [[0, 1], [1, 0]]}, [(1, 0)]),
@@ -624,7 +603,7 @@ def _restrict(rho, rows):
 def _oracle_is_cr(rho):
     """The complement recursion: an equivariant projector onto the first candidate,
     then both its image and its kernel restricted and tested, on fresh tuples."""
-    rows = _first(rho, reptheory._active_seed.get()) if rho.n > 1 else None
+    rows = _first(rho) if rho.n > 1 else None
     if rows is None:
         return True
     proj = _complement_projector(_fresh(rho), rows)
@@ -662,7 +641,7 @@ class TestIsCrOnTheSeriesSplits:
             while todo:
                 node = todo.pop()
                 tree.append(node)
-                split = node._derived.get(("split", PROBE_SEED))
+                split = node._derived.get("split")
                 if split is None:
                     leaves.append(node.n)
                 else:

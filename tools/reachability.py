@@ -6,8 +6,11 @@ Runs every job of the decide, classify and geometry workloads for seeds
 1-3, plus each workload's set-up job, through ``localrep.cli.run`` (the
 path the benchmark worker takes) under a ``sys.setprofile`` hook, and
 prints each function of ``src/localrep`` whose code was never entered,
-with its line count, then a summary line.  The inputs come from
-``bench/workloads.py`` and are written by ``bench/run.py``'s
+with its line count, then a summary line.  Last come one sha256 per
+workload over the ``jsonio.dumps`` reports of its jobs in order (the error
+text stands in for the report of a job that raises), so two checkouts
+print the same digests exactly when every report is byte-identical.  The
+inputs come from ``bench/workloads.py`` and are written by ``bench/run.py``'s
 ``write_inputs`` into a temporary directory; nothing under ``bench/`` is
 changed.  Print-only: the exit status is 0 whatever the list holds.
 
@@ -20,6 +23,7 @@ directly and reaches them only in cold starts.
 from __future__ import annotations
 
 import ast
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -61,15 +65,22 @@ def source_functions() -> dict:
 
 
 def jobs():
+    """``(workload name, job)`` for every job of every workload."""
     for name, build in workloads.WORKLOADS.items():
         for seed in SEEDS:
-            yield from build(seed)
-        yield workloads.setup_job(name)
+            for job in build(seed):
+                yield name, job
+        yield name, workloads.setup_job(name)
 
 
 def entered_code() -> tuple:
-    """Run every job under the profile hook; returns (code objects entered, jobs run)."""
+    """Run every job under the profile hook.
+
+    Returns (code objects entered, jobs run, workload name -> sha256 of the
+    reports).
+    """
     seen = set()
+    digests = {name: hashlib.sha256() for name in workloads.WORKLOADS}
 
     def hook(frame, event, arg):
         if event == "call":
@@ -77,29 +88,32 @@ def entered_code() -> tuple:
 
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for job in jobs():
+        for name, job in jobs():
             spec = bench_run.write_inputs(job, Path(tmp))
             sys.setprofile(hook)
             try:
                 _, payload = cli.run(cli.JobSpec(command=job.command, **spec))
-                jsonio.dumps(payload)
-            except Exception:  # a known-fault job fails; its calls still count
-                pass
+                report = jsonio.dumps(payload)
+            except Exception as exc:  # a known-fault job fails; its calls still count
+                report = f"{type(exc).__name__}: {exc}"
             finally:
                 sys.setprofile(None)
+            digests[name].update(report.encode("utf-8") + b"\n")
             count += 1
-    return seen, count
+    return seen, count, {name: d.hexdigest() for name, d in digests.items()}
 
 
 def main() -> int:
     functions = source_functions()
-    seen, count = entered_code()
+    seen, count, digests = entered_code()
     entered = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in seen}
     missed = [(key, functions[key]) for key in sorted(functions) if key not in entered]
     for (path, line), (name, lines) in missed:
         print(f"{Path(path).name}:{line} {name} ({lines} lines)")
     print(f"{len(missed)} of {len(functions)} functions in src/localrep never entered "
           f"({sum(lines for _, (_, lines) in missed)} lines), over {count} jobs")
+    for name, digest in digests.items():
+        print(f"reports {name} sha256 {digest}")
     return 0
 
 
