@@ -9,12 +9,15 @@ x -> g x g^T.  For a tuple of generators the displacement function
 is geodesically convex.  Its infimum is attained exactly when the tuple is
 completely reducible (cr), and the infimum lambda(rho) equals
 lambda(rho_ss) of the semisimplification.  :func:`minimize_displacement`
-therefore takes its verdict from :func:`reptheory.is_cr` and measures
-lambda by one descent: ATTAINED for a cr tuple (descent on rho, whose last
-iterate is the minimiser), DIVERGED for a non-cr one (descent on rho_ss,
-no minimiser), and MAXITER when the descent's budget runs out.  Real
-generators are rescaled to |det| = 1 on ingestion, which quotients away the
-scaling direction without changing the displacement data.
+therefore takes its verdict from :func:`reptheory.is_cr` and reads lambda
+off the irreducible leaves of the split tree of rho (cr) or rho_ss: a
+closed form from the determinants of each leaf, plus one descent on each
+leaf of dimension 2 or more.  ATTAINED for a cr tuple, whose minimiser is
+assembled from the split tree and checked against lambda; DIVERGED for a
+non-cr one (no minimiser); MAXITER when a leaf's descent runs out of its
+budget.  Real generators are rescaled to |det| = 1 on ingestion, which
+quotients away the scaling direction without changing the displacement
+data.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    LocalRepError,
     NotRealFieldError,
     SingularMatrixError,
 )
-from .reptheory import Representation, is_cr, semisimplify
+from .reptheory import Representation, _series, _split, is_cr, semisimplify
 
 ATTAINED = "ATTAINED"
 DIVERGED = "DIVERGED"
@@ -100,13 +104,27 @@ def dist(x: SPDPoint, y: SPDPoint) -> float:
     return float(np.sqrt(np.sum(np.log(w) ** 2)))
 
 
+def _floats(m) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in m.data], dtype=float)
+
+
+def _block_diagonal(blocks) -> np.ndarray:
+    n = sum(b.shape[0] for b in blocks)
+    out, i = np.zeros((n, n)), 0
+    for b in blocks:
+        k = b.shape[0]
+        out[i:i + k, i:i + k] = b
+        i += k
+    return out
+
+
 def _action_matrices(rho: Representation) -> dict:
     """Generator matrices as floats, rescaled to |det| = 1."""
     if not rho.field.is_real:
         raise NotRealFieldError("displacement geometry needs the real field")
     out = {}
     for s, m in rho.gens.items():
-        arr = np.array([[float(x) for x in row] for row in m.data], dtype=float)
+        arr = _floats(m)
         det = abs(float(np.linalg.det(arr)))
         if det == 0.0:
             raise SingularMatrixError(f"generator {s!r} is singular")
@@ -119,11 +137,17 @@ def act(g: np.ndarray, x: SPDPoint) -> SPDPoint:
 
 
 def displacement(rho: Representation, x: SPDPoint) -> float:
-    """d_rho(x) = sqrt(sum_s d(x, rho(s) x)^2)."""
-    mats = _action_matrices(rho)
+    """d_rho(x) = sqrt(sum_s d(x, rho(s) x)^2).
+
+    Each term is taken to the identity by the isometry x^-1/2:
+    d(x, g x) = d(I, m I) with m = x^-1/2 g x^1/2, so no g x g^T is formed;
+    for an ill-conditioned x that product loses its small eigenvalues.
+    """
+    x_half, x_inv_half = _sqrt_inv_sqrt(x.m)
+    ident = SPDPoint.identity(x.n)
     total = 0.0
-    for g in mats.values():
-        total += dist(x, act(g, x)) ** 2
+    for g in _action_matrices(rho).values():
+        total += dist(ident, act(x_inv_half @ g @ x_half, ident)) ** 2
     return math.sqrt(total)
 
 
@@ -295,32 +319,98 @@ def _descend(mats, n: int, budget: int):
     return h, j_cur, it, trace, gn, True
 
 
+def _block_conjugator(rho: Representation) -> np.ndarray:
+    """c with c^-1 g c = blockdiag(leaves of :func:`_series`) for each generator g.
+
+    Built down the split tree of a cr tuple: at a split with adapted basis
+    b, b^-1 g b is [[A, B], [0, D]], and the complement X of
+    :meth:`Split.complement` solves A X - X D = B, so [[I, -X], [0, I]]
+    clears B.  Then c = b [[I, -X], [0, I]] blockdiag(c_W, c_{V/W}), in the
+    order in which :func:`_series` lists the leaves.
+    """
+    split = _split(rho)
+    if split is None:
+        return np.eye(rho.n)
+    k, n = split.sub.n, rho.n
+    clear = np.eye(n)
+    clear[:k, k:] = -np.array([float(x) for x in split.complement()]).reshape(k, n - k)
+    tail = _block_diagonal((_block_conjugator(split.sub), _block_conjugator(split.quot)))
+    return _floats(split.basis) @ clear @ tail
+
+
+def _log_abs_det(m) -> float:
+    return float(np.linalg.slogdet(_floats(m))[1])
+
+
 def minimize_displacement(rho: Representation, budget: int = 5000) -> DisplacementReport:
     """Minimise the displacement function over the SPD space.
 
     The infimum of d_rho is attained exactly when rho is completely
     reducible, and it equals lambda(rho_ss) either way.  So the verdict
-    comes from :func:`is_cr`, and the descent (:func:`_descend`) only
-    measures lambda:
+    comes from :func:`is_cr`, and lambda is read off the leaves of the
+    split tree (:func:`_series`) of the cr tuple ``target``: rho itself when
+    cr, else ``semisimplify(rho).rho_ss``.  The minimum set of d_target
+    holds a point block diagonal in the basis of the leaves, and there the
+    distance splits by blocks:
 
-    * ATTAINED: rho is cr; the descent ran on rho and its final iterate is
-      the minimiser;
-    * DIVERGED: rho is not cr; the descent ran on ``semisimplify(rho).rho_ss``,
-      whose minimum is the infimum of d_rho, and there is no minimiser;
-    * MAXITER: the descent's budget ran out first (no minimiser).
+        lambda^2 = sum_i [ lambda(rhobar_i)^2 + sum_s (2 log|det rho_i(s)|)^2 / n_i ]
+
+    with rho_i(s) leaf i of the |det| = 1 generator and rhobar_i that leaf
+    at |det| = 1.  A leaf of dimension 1 has lambda(rhobar_i) = 0; each
+    larger leaf gets its own descent (:func:`_descend`, with the whole
+    budget), and ``iterations`` and ``trace`` add up over those.
+
+    * ATTAINED: rho is cr; the minimiser is H H^T normalised, with
+      H = c blockdiag(h_i) for the leaf conjugators h_i (the identity on a
+      line) and c from :func:`_block_conjugator`.  ``grad_norm`` is the whole
+      tuple's gradient norm at H, polished (:func:`_polish`) when above
+      ``GRAD_TOL``, and the displacement there must equal lambda;
+    * DIVERGED: rho is not cr, and there is no minimiser;
+    * MAXITER: the budget of some leaf's descent ran out (no minimiser).
+
+    Otherwise ``grad_norm`` is that of the leaf gradients together, which is
+    the gradient of d_target^2 at the block diagonal point.
     """
-    mats = list(_action_matrices(rho).values())
+    whole = list(_action_matrices(rho).values())
     cr = is_cr(rho)
-    if not cr:
-        mats = list(_action_matrices(semisimplify(rho).rho_ss).values())
-    h, j, iterations, trace, gn, done = _descend(mats, rho.n, budget)
+    target = rho if cr else semisimplify(rho).rho_ss
+    _, _, leaves = _series(target)
+    log_dets = {s: _log_abs_det(m) for s, m in target.gens.items()}
+    terms, conjugators, trace = [], [], []
+    iterations, grad_sq, done = 0, 0.0, True
+    for leaf in leaves:
+        k = leaf.n
+        terms += [(2.0 * (_log_abs_det(m) - k / target.n * log_dets[s])) ** 2 / k
+                  for s, m in leaf.gens.items()]
+        if k == 1:
+            conjugators.append(np.eye(1))
+            continue
+        h, j, its, leaf_trace, gn, leaf_done = _descend(
+            list(_action_matrices(leaf).values()), k, budget)
+        terms.append(j)
+        conjugators.append(h)
+        iterations += its
+        trace += leaf_trace
+        grad_sq += gn * gn
+        done = done and leaf_done
+    lam = math.sqrt(math.fsum(terms))
+    gn, minimizer = math.sqrt(grad_sq), None
     if not done:
-        status, minimizer = MAXITER, None
-    elif cr:
-        status, minimizer = ATTAINED, SPDPoint.normalized(h @ h.T)
+        status = MAXITER
+    elif not cr:
+        status = DIVERGED
     else:
-        status, minimizer = DIVERGED, None
+        status = ATTAINED
+        h = _block_conjugator(rho) @ _block_diagonal(conjugators)
+        gn = float(np.linalg.norm(_gradient(whole, h)))
+        if gn > GRAD_TOL:
+            h, _, gn = _polish(whole, h, _objective(whole, h))
+        minimizer = SPDPoint.normalized(h @ h.T)
+        at_min = displacement(rho, minimizer)
+        if abs(at_min - lam) > 1e-9 * max(1.0, lam):
+            raise LocalRepError(
+                f"displacement {at_min!r} at the minimiser is not lambda {lam!r}")
     return DisplacementReport(
-        lambda_est=math.sqrt(max(j, 0.0)), attained=status, minimizer=minimizer,
+        lambda_est=lam, attained=status, minimizer=minimizer,
         iterations=iterations, trace=trace, grad_norm=gn,
     )

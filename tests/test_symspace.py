@@ -7,19 +7,27 @@ import pytest
 from localrep import (
     ATTAINED,
     DIVERGED,
+    MAXITER,
     Field,
+    Matrix,
     Representation,
     SPDPoint,
     composition_series,
     displacement,
     dist,
     grad_objective,
+    is_cr,
     minimize_displacement,
     semisimplify,
 )
 from localrep.errors import NotRealFieldError
+from localrep.reptheory import _series
 from localrep.symspace import (
     _action_matrices,
+    _block_conjugator,
+    _block_diagonal,
+    _descend,
+    _floats,
     _objective,
     _sqrt_inv_sqrt,
     _sym_exp,
@@ -29,6 +37,7 @@ from localrep.symspace import (
 from conftest import (
     GEOMETRY_FAULT_CONJUGATOR,
     GEOMETRY_FAULT_UPPER,
+    _abs_irreducible_block,
     block_tuple,
     conj,
     conjugated_diagonal,
@@ -250,23 +259,125 @@ class TestVerdictCorpus:
             ss = minimize_displacement(semisimplify(rho).rho_ss)
             assert report.lambda_est == ss.lambda_est, seed
 
-    def test_conjugated_diagonal_attained_at_closed_form(self):
+    @staticmethod
+    def diagonal_cases():
         gens, diags = DIAG_ONCE_DIVERGED
         cases = [("once-diverged", rep(gens), diags)]
         for seed in range(30):
             rho, diags = conjugated_diagonal(R, random.Random(f"verdict:diag3:{seed}"), 3)
             cases.append((seed, rho, diags))
-        for name, rho, diags in cases:
+        return cases
+
+    def test_conjugated_diagonal_attained_at_closed_form(self):
+        for name, rho, diags in self.diagonal_cases():
             report = minimize_displacement(rho)
             assert report.attained == ATTAINED, name
             want = closed_form_lambda(diags)
             assert abs(report.lambda_est - want) <= 1e-6 * max(1.0, want), name
+
+    def test_conjugated_diagonal_displacement_at_minimizer(self):
+        for name, rho, _ in self.diagonal_cases():
+            report = minimize_displacement(rho)
+            lam = report.lambda_est
+            assert abs(displacement(rho, report.minimizer) - lam) <= 1e-9 * max(1.0, lam), name
 
     def test_conjugated_nonsplit_2_1_never_attained(self):
         for seed in range(30):
             rho = block_tuple(R, random.Random(f"verdict:21:{seed}"), (2, 1), split=False)
             report = minimize_displacement(rho)
             assert report.attained == DIVERGED, seed
+
+
+def whole_tuple_lambda(rho):
+    """lambda by one descent on the whole tuple, or on rho_ss when rho is not cr."""
+    target = rho if is_cr(rho) else semisimplify(rho).rho_ss
+    _, j, _, _, _, done = _descend(list(_action_matrices(target).values()), target.n, 5000)
+    assert done
+    return math.sqrt(j)
+
+
+class TestLeafBranch:
+    """lambda off the split tree on (2, 1) tuples, whose 2-dimensional leaf
+    gets a descent of its own; no benchmark job has such a leaf."""
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_matches_one_descent_on_the_whole_tuple(self, split):
+        kept = 0
+        for seed in range(16):
+            rho = block_tuple(R, random.Random(f"leaves:21:{split}:{seed}"), (2, 1), split)
+            target = rho if is_cr(rho) else semisimplify(rho).rho_ss
+            if len(_series(target)[2]) != 2:
+                continue  # the battery missed the split (ROADMAP item 11)
+            kept += 1
+            report = minimize_displacement(rho)
+            assert report.attained == (ATTAINED if split else DIVERGED), seed
+            assert report.iterations > 0
+            want = whole_tuple_lambda(rho)
+            assert abs(report.lambda_est - want) <= 1e-9 * max(1.0, want), seed
+        assert kept >= 10
+
+    def test_budget_is_per_leaf(self):
+        rho = block_tuple(R, random.Random("leaves:21:True:0"), (2, 1), True)
+        report = minimize_displacement(rho, budget=0)
+        assert report.attained == MAXITER
+        assert report.minimizer is None
+        # lines need no descent, so no budget
+        lines, _ = conjugated_diagonal(R, random.Random("verdict:diag3:0"), 3)
+        assert minimize_displacement(lines, budget=0).attained == ATTAINED
+
+
+class TestBlockConjugator:
+    """c^-1 g c is block diagonal with the leaves of the split tree on the diagonal."""
+
+    def test_leaves_on_the_diagonal(self):
+        cases = [rho for _, rho, _ in TestVerdictCorpus.diagonal_cases()]
+        cases += [block_tuple(R, random.Random(f"leaves:21:True:{seed}"), (2, 1), True)
+                  for seed in range(8)]
+        for rho in cases:
+            c = _block_conjugator(rho)
+            _, _, leaves = _series(rho)
+            for s, g in rho.gens.items():
+                want = _block_diagonal([_floats(leaf.gens[s]) for leaf in leaves])
+                got = np.linalg.solve(c, _floats(g) @ c)
+                assert np.allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max()), s
+
+
+def irreducible_pair(rng):
+    return rep(dict(zip("ab", _abs_irreducible_block(R, rng, 2, ("a", "b")))))
+
+
+def unit_det(rho):
+    """Each generator rescaled to |det| = 1."""
+    return Representation(R, {s: m.scale(abs(float(m.det())) ** (-1.0 / m.n))
+                              for s, m in rho.gens.items()})
+
+
+def direct_sum(r1, r2):
+    return Representation(R, {s: Matrix.block_diagonal(R, (r1.gens[s], r2.gens[s]))
+                              for s in r1.symbols})
+
+
+class TestLambdaAdditivity:
+    """lambda(rho1 + rho2)^2 = lambda(rho1)^2 + lambda(rho2)^2 for summands
+    at |det| = 1, the sum also seen through a conjugator."""
+
+    CONJUGATOR = [[1, 1, 0, 0], [0, 1, -1, 0], [1, 0, 1, 2], [0, 0, 1, 1]]
+
+    def test_direct_sums(self):
+        for seed in range(8):
+            rng = random.Random(f"additivity:{seed}")
+            r1 = unit_det(irreducible_pair(rng))
+            if seed % 2:
+                r2 = unit_det(irreducible_pair(rng))
+            else:
+                r2 = unit_det(conjugated_diagonal(R, rng, 2)[0])
+            want = math.hypot(minimize_displacement(r1).lambda_est,
+                              minimize_displacement(r2).lambda_est)
+            total = direct_sum(r1, r2)
+            for rho in (total, conj(total, self.CONJUGATOR)):
+                report = minimize_displacement(rho)
+                assert report.attained == ATTAINED, seed
+                assert abs(report.lambda_est - want) <= 1e-9 * max(1.0, want), seed
 
 
 def displacement_along_line(rho, x, s_mat, ts):

@@ -8,8 +8,10 @@ path the benchmark worker takes) under a ``sys.setprofile`` hook, and
 prints each function of ``src/localrep`` whose code was never entered,
 with its line count, then a summary line.  Last come one sha256 per
 workload over the ``jsonio.dumps`` reports of its jobs in order (the error
-text stands in for the report of a job that raises), so two checkouts
-print the same digests exactly when every report is byte-identical.  The
+text stands in for the report of a job that raises), then one per
+(workload, command) over the same reports, so two checkouts print the same
+digests exactly when every report is byte-identical, and a changed digest
+names the commands whose reports changed.  The
 inputs come from ``bench/workloads.py`` and are written by ``bench/run.py``'s
 ``write_inputs`` into a temporary directory; nothing under ``bench/`` is
 changed.  Print-only: the exit status is 0 whatever the list holds.
@@ -76,11 +78,11 @@ def jobs():
 def entered_code() -> tuple:
     """Run every job under the profile hook.
 
-    Returns (code objects entered, jobs run, workload name -> sha256 of the
-    reports).
+    Returns (code objects entered, jobs run, sha256 of the reports keyed by
+    (workload name,) and by (workload name, command)).
     """
     seen = set()
-    digests = {name: hashlib.sha256() for name in workloads.WORKLOADS}
+    digests = {}
 
     def hook(frame, event, arg):
         if event == "call":
@@ -98,9 +100,10 @@ def entered_code() -> tuple:
                 report = f"{type(exc).__name__}: {exc}"
             finally:
                 sys.setprofile(None)
-            digests[name].update(report.encode("utf-8") + b"\n")
+            for key in ((name,), (name, job.command)):
+                digests.setdefault(key, hashlib.sha256()).update(report.encode("utf-8") + b"\n")
             count += 1
-    return seen, count, {name: d.hexdigest() for name, d in digests.items()}
+    return seen, count, {key: d.hexdigest() for key, d in digests.items()}
 
 
 def main() -> int:
@@ -112,8 +115,8 @@ def main() -> int:
         print(f"{Path(path).name}:{line} {name} ({lines} lines)")
     print(f"{len(missed)} of {len(functions)} functions in src/localrep never entered "
           f"({sum(lines for _, (_, lines) in missed)} lines), over {count} jobs")
-    for name, digest in digests.items():
-        print(f"reports {name} sha256 {digest}")
+    for key, digest in digests.items():
+        print(f"reports {' '.join(key)} sha256 {digest}")
     return 0
 
 
