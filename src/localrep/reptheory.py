@@ -32,6 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DimensionMismatchError,
@@ -162,11 +163,12 @@ class Split:
     off: dict
     quot: Representation
 
+    @cached_property
     def complement(self):
         """A solution X of A X - X D = B for every generator, or None.
 
         X exists exactly when W has an invariant complement: the span of
-        the columns of b [[-X], [I]], a copy of V/W.
+        the columns of b [[-X], [I]], a copy of V/W.  Solved once per split.
         """
         field, k, q = self.sub.field, self.sub.n, self.quot.n
         symbols = self.sub.symbols
@@ -556,14 +558,14 @@ def is_cr(rho: Representation) -> bool:
     an irreducible module is completely reducible; otherwise, at the first
     certified invariant subspace W (the certificate of
     :func:`is_nonparabolic`), W must have an invariant complement
-    (:meth:`Split.complement`) and rho|_W and rho_{V/W} must again pass.
+    (:attr:`Split.complement`) and rho|_W and rho_{V/W} must again pass.
     A complement is isomorphic to V/W, so no complement tuple is built.
     Characteristic-free.
     """
     split = _split(rho)
     if split is None:
         return True
-    return split.complement() is not None and is_cr(split.sub) and is_cr(split.quot)
+    return split.complement is not None and is_cr(split.sub) and is_cr(split.quot)
 
 
 def _series(rho: Representation):

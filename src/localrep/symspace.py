@@ -12,12 +12,13 @@ lambda(rho_ss) of the semisimplification.  :func:`minimize_displacement`
 therefore takes its verdict from :func:`reptheory.is_cr` and reads lambda
 off the irreducible leaves of the split tree of rho (cr) or rho_ss: a
 closed form from the determinants of each leaf, plus one descent on each
-leaf of dimension 2 or more.  ATTAINED for a cr tuple, whose minimiser is
-assembled from the split tree and checked against lambda; DIVERGED for a
-non-cr one (no minimiser); MAXITER when a leaf's descent runs out of its
-budget.  Real generators are rescaled to |det| = 1 on ingestion, which
-quotients away the scaling direction without changing the displacement
-data.
+leaf of dimension 2 or more, the only optimiser (:func:`_descend`).  Its
+objective J(h) = d_rho(h h^T)^2 is what :func:`displacement` reads too.
+ATTAINED for a cr tuple, whose minimiser is assembled from the split tree
+and checked against lambda; DIVERGED for a non-cr one (no minimiser);
+MAXITER when a leaf's descent runs out of its budget.  Real generators are
+rescaled to |det| = 1 on ingestion, which quotients away the scaling
+direction without changing the displacement data.
 """
 
 from __future__ import annotations
@@ -40,10 +41,8 @@ DIVERGED = "DIVERGED"
 MAXITER = "MAXITER"
 
 GRAD_TOL = 1e-6
-ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 INITIAL_STEP = 1.0
-MAX_STEP = 1e6
 
 
 class SPDPoint:
@@ -60,9 +59,10 @@ class SPDPoint:
         eig = np.linalg.eigvalsh(m)
         if eig.min() <= 0:
             raise ValueError("point must be positive definite")
-        det = float(np.prod(eig))
-        if abs(det - 1.0) > 1e-9 * max(1.0, det):
-            raise ValueError(f"determinant {det} is not 1")
+        # log det carries rounding of order n eps cond
+        log_det = float(np.sum(np.log(eig)))
+        if abs(log_det) > max(1e-9, 8 * len(eig) * np.finfo(float).eps * eig[-1] / eig[0]):
+            raise ValueError(f"determinant {math.exp(log_det)} is not 1")
         self.m = 0.5 * (m + m.T)
 
     @classmethod
@@ -132,25 +132,6 @@ def _action_matrices(rho: Representation) -> dict:
     return out
 
 
-def act(g: np.ndarray, x: SPDPoint) -> SPDPoint:
-    return SPDPoint.normalized(g @ x.m @ g.T)
-
-
-def displacement(rho: Representation, x: SPDPoint) -> float:
-    """d_rho(x) = sqrt(sum_s d(x, rho(s) x)^2).
-
-    Each term is taken to the identity by the isometry x^-1/2:
-    d(x, g x) = d(I, m I) with m = x^-1/2 g x^1/2, so no g x g^T is formed;
-    for an ill-conditioned x that product loses its small eigenvalues.
-    """
-    x_half, x_inv_half = _sqrt_inv_sqrt(x.m)
-    ident = SPDPoint.identity(x.n)
-    total = 0.0
-    for g in _action_matrices(rho).values():
-        total += dist(ident, act(x_inv_half @ g @ x_half, ident)) ** 2
-    return math.sqrt(total)
-
-
 # ---------------------------------------------------------------------------
 # smooth objective on the conjugator: J(h) = sum_s tr(log^2(M_s M_s^T))
 
@@ -192,6 +173,17 @@ def _gradient(mats, h: np.ndarray) -> np.ndarray:
     return grad
 
 
+def displacement(rho: Representation, x: SPDPoint) -> float:
+    """d_rho(x) = sqrt(sum_s d(x, rho(s) x)^2) = sqrt(J(x^1/2)).
+
+    With x = h h^T, the isometry h^-1 takes d(x, g x g^T) to d(I, M M^T)
+    for M = h^-1 g h, so no g x g^T is formed; for an ill-conditioned x
+    that product loses its small eigenvalues.
+    """
+    x_half, _ = _sqrt_inv_sqrt(x.m)
+    return math.sqrt(_objective(list(_action_matrices(rho).values()), x_half))
+
+
 def grad_objective(rho: Representation, h, H) -> float:
     """Directional derivative of J at h along the direction H.
 
@@ -202,7 +194,8 @@ def grad_objective(rho: Representation, h, H) -> float:
     """
     mats = list(_action_matrices(rho).values())
     h = np.asarray(h, dtype=float)
-    if abs(float(np.linalg.det(h))) < 1e-12:
+    # J is invariant under h -> c h, so singularity is judged by rank
+    if np.linalg.matrix_rank(h) < h.shape[0]:
         raise SingularMatrixError("conjugator is singular")
     return float(np.sum(_gradient(mats, h) * np.asarray(H, dtype=float)))
 
@@ -231,92 +224,45 @@ class DisplacementReport:
         }
 
 
-def _polish(mats, h: np.ndarray, j: float):
-    """Drive the gradient norm down with a machine-floor line search.
-
-    Alternates gradient steps with a Newton-like correction built from the
-    gradient difference, both accepted on any decrease above float noise.
-    """
-    floor = 4.0 * np.finfo(float).eps * max(1.0, j)
-    gn = float(np.linalg.norm(_gradient(mats, h)))
-    for _ in range(300):
-        if gn <= GRAD_TOL:
-            break
-        grad = _gradient(mats, h)
-        gn = float(np.linalg.norm(grad))
-        if gn <= GRAD_TOL:
-            break
-        # estimate the bowl scale from a secant along the gradient, then
-        # take the quasi-Newton step length gn / curvature
-        direction = -grad / gn
-        eps_t = 1e-4
-        grad_eps = _gradient(mats, h @ _sym_exp(eps_t * direction))
-        curve = float(np.linalg.norm(grad_eps - grad)) / eps_t
-        steps = [gn / curve] if curve > 1e-12 else []
-        steps.append(INITIAL_STEP)
-        accepted = False
-        for t0 in steps:
-            t = t0
-            while t > 1e-14:
-                h_new = h @ _sym_exp(t * direction)
-                j_new = _objective(mats, h_new)
-                if j_new <= j - floor:
-                    h, j = h_new, j_new
-                    accepted = True
-                    break
-                t *= ARMIJO_SHRINK
-            if accepted:
-                break
-        if not accepted:
-            break
-    gn = float(np.linalg.norm(_gradient(mats, h)))
-    return h, j, gn
-
-
 def _descend(mats, n: int, budget: int):
-    """Armijo descent on the conjugator h (x = h h^T), then :func:`_polish`.
+    """Steepest descent of J on the conjugator h (x = h h^T).
 
-    Normalised steepest descent with backtracking; the trial step doubles
-    while full steps keep being accepted.  The walk stops when the gradient
-    norm is at most ``GRAD_TOL`` or no Armijo step is accepted, and is then
-    polished.  Returns ``(h, objective, iterations, trace, grad_norm,
-    done)``, where ``done`` is False when the budget ran out first (no
-    polish then).
+    Each iteration moves along -grad J.  It tries first the quasi-Newton
+    length gn / curvature, the curvature read off a secant of the gradient,
+    then ``INITIAL_STEP``, each halved until J falls by more than float
+    noise.  The walk stops when the gradient norm is at most ``GRAD_TOL`` or
+    no step lowers J.  Returns ``(h, objective, iterations, trace,
+    grad_norm, done)``, where ``iterations`` counts every step taken and
+    ``done`` is False when the budget ran out first.
     """
     h = np.eye(n)
-    j_cur = _objective(mats, h)
+    j = _objective(mats, h)
     trace = []
-    t_init = INITIAL_STEP
     for it in range(budget):
         grad = _gradient(mats, h)
         gn = float(np.linalg.norm(grad))
         if gn <= GRAD_TOL:
             break
         direction = -grad / gn
-        t = t_init
+        eps_t = 1e-4
+        grad_eps = _gradient(mats, h @ _sym_exp(eps_t * direction))
+        curve = float(np.linalg.norm(grad_eps - grad)) / eps_t
+        floor = 4.0 * np.finfo(float).eps * max(1.0, j)
         accepted = None
-        floor = 1e-12 * max(1.0, j_cur)
-        while t > 1e-12:
-            h_new = h @ _sym_exp(t * direction)
-            j_new = _objective(mats, h_new)
-            if j_new <= j_cur - max(ARMIJO_C * t * gn, floor):
-                accepted = t
-                break
-            t *= ARMIJO_SHRINK
+        for t in ([gn / curve] if curve > 1e-12 else []) + [INITIAL_STEP]:
+            while accepted is None and t > 1e-14:
+                h_new = h @ _sym_exp(t * direction)
+                j_new = _objective(mats, h_new)
+                if j_new <= j - floor:
+                    accepted = t
+                t *= ARMIJO_SHRINK
         if accepted is None:
             break
-        h, j_cur = h_new, j_new
-        trace.append((j_cur, accepted, float(np.linalg.norm(h))))
-        # grow the trial step while full steps are accepted, shrink otherwise
-        if accepted >= t_init * 0.999:
-            t_init = min(t_init * 2.0, MAX_STEP)
-        else:
-            t_init = max(accepted * 2.0, INITIAL_STEP)
+        h, j = h_new, j_new
+        trace.append((j, accepted, float(np.linalg.norm(h))))
     else:
-        gn = float(np.linalg.norm(_gradient(mats, h)))
-        return h, j_cur, budget, trace, gn, False
-    h, j_cur, gn = _polish(mats, h, j_cur)
-    return h, j_cur, it, trace, gn, True
+        return h, j, budget, trace, float(np.linalg.norm(_gradient(mats, h))), False
+    return h, j, it, trace, gn, True
 
 
 def _block_conjugator(rho: Representation) -> np.ndarray:
@@ -324,7 +270,7 @@ def _block_conjugator(rho: Representation) -> np.ndarray:
 
     Built down the split tree of a cr tuple: at a split with adapted basis
     b, b^-1 g b is [[A, B], [0, D]], and the complement X of
-    :meth:`Split.complement` solves A X - X D = B, so [[I, -X], [0, I]]
+    :attr:`Split.complement` solves A X - X D = B, so [[I, -X], [0, I]]
     clears B.  Then c = b [[I, -X], [0, I]] blockdiag(c_W, c_{V/W}), in the
     order in which :func:`_series` lists the leaves.
     """
@@ -333,7 +279,7 @@ def _block_conjugator(rho: Representation) -> np.ndarray:
         return np.eye(rho.n)
     k, n = split.sub.n, rho.n
     clear = np.eye(n)
-    clear[:k, k:] = -np.array([float(x) for x in split.complement()]).reshape(k, n - k)
+    clear[:k, k:] = -np.array([float(x) for x in split.complement]).reshape(k, n - k)
     tail = _block_diagonal((_block_conjugator(split.sub), _block_conjugator(split.quot)))
     return _floats(split.basis) @ clear @ tail
 
@@ -362,9 +308,11 @@ def minimize_displacement(rho: Representation, budget: int = 5000) -> Displaceme
 
     * ATTAINED: rho is cr; the minimiser is H H^T normalised, with
       H = c blockdiag(h_i) for the leaf conjugators h_i (the identity on a
-      line) and c from :func:`_block_conjugator`.  ``grad_norm`` is the whole
-      tuple's gradient norm at H, polished (:func:`_polish`) when above
-      ``GRAD_TOL``, and the displacement there must equal lambda;
+      line) and c from :func:`_block_conjugator`.  Every M_s is block
+      diagonal at H and the |det| rescalings cancel, so the whole gradient
+      there is the leaf gradients side by side and H needs no descent of
+      its own.  ``grad_norm`` is the whole tuple's gradient norm measured
+      at H, and the displacement there must equal lambda;
     * DIVERGED: rho is not cr, and there is no minimiser;
     * MAXITER: the budget of some leaf's descent ran out (no minimiser).
 
@@ -403,8 +351,6 @@ def minimize_displacement(rho: Representation, budget: int = 5000) -> Displaceme
         status = ATTAINED
         h = _block_conjugator(rho) @ _block_diagonal(conjugators)
         gn = float(np.linalg.norm(_gradient(whole, h)))
-        if gn > GRAD_TOL:
-            h, _, gn = _polish(whole, h, _objective(whole, h))
         minimizer = SPDPoint.normalized(h @ h.T)
         at_min = displacement(rho, minimizer)
         if abs(at_min - lam) > 1e-9 * max(1.0, lam):

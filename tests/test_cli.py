@@ -256,6 +256,27 @@ class TestMainExitCodes:
 
         assert analyze(0.001) == analyze(1)
 
+    def test_ill_conditioned_minimiser_is_0(self, tmp_path):
+        # the minimiser has condition 2.8e7, so the rounding of its log det
+        # is above 1e-9
+        a = [[-3, 55, 60, -180], [-10, -84, -92, 196], [10, 48, 53, -88], [0, -11, -12, 33]]
+        b = [[68, 239, 288, -294], [-86, -283, -340, 320], [43, 135, 162, -142],
+             [-11, -40, -48, 52]]
+        path = write(tmp_path, "r.json", {
+            "field": {"type": "real"},
+            "n": 4,
+            "generators": {s: [[str(x) for x in row] for row in m]
+                           for s, m in (("a", a), ("b", b))},
+        })
+        proc = subprocess.run(
+            [sys.executable, "-m", "localrep.cli", "minimize", "--input", path],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["status"] == "ATTAINED"
+        assert abs(report["lambda"] - 2.34472065177) <= 1e-9
+
     def test_singular_generator_is_3(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", {
             "field": {"type": "padic", "p": 5},

@@ -121,12 +121,12 @@ class TestNonparabolic:
 
 def _complement_projector(rho, rows):
     """The equivariant projector b [[I, X], [0, 0]] b^-1 onto the invariant span
-    of ``rows``, with X from ``split_at(rho, rows).complement()``, or None when
+    of ``rows``, with X from ``split_at(rho, rows).complement``, or None when
     the span has no invariant complement.  Its kernel is the complement."""
     field, n = rho.field, rho.n
     rows = reptheory._canonical_rows(field, rows)
     split = split_at(rho, rows)
-    sol = split.complement()
+    sol = split.complement
     if sol is None:
         return None
     k = len(rows)

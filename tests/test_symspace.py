@@ -20,7 +20,7 @@ from localrep import (
     minimize_displacement,
     semisimplify,
 )
-from localrep.errors import NotRealFieldError
+from localrep.errors import NotRealFieldError, SingularMatrixError
 from localrep.reptheory import _series
 from localrep.symspace import (
     _action_matrices,
@@ -31,7 +31,6 @@ from localrep.symspace import (
     _objective,
     _sqrt_inv_sqrt,
     _sym_exp,
-    act,
 )
 
 from conftest import (
@@ -55,6 +54,22 @@ def random_spd(rng, n):
     a = rng.normal(size=(n, n))
     m = a @ a.T + 0.5 * np.eye(n)
     return SPDPoint.normalized(m)
+
+
+def act(g, x):
+    return SPDPoint.normalized(g @ x.m @ g.T)
+
+
+class TestSPDPoint:
+    def test_refuses_determinant_other_than_one(self):
+        with pytest.raises(ValueError, match="determinant"):
+            SPDPoint(2 * np.eye(2))
+
+    def test_accepts_an_ill_conditioned_unit_determinant(self):
+        # condition 1e8: the rounding of its log det is above 1e-9
+        q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))
+        m = (q * np.array([1e4, 1e-4, 3.0, 1 / 3])) @ q.T
+        assert SPDPoint.normalized(m).n == 4
 
 
 class TestDist:
@@ -133,6 +148,16 @@ class TestGradient:
     def test_zero_direction(self):
         rho = rep({"a": [[2, 1], [0, 0.5]]})
         assert grad_objective(rho, np.eye(2), np.zeros((2, 2))) == 0.0
+
+    def test_invariant_under_scaling_the_conjugator(self):
+        rho = rep({"a": [[2, 1, 0], [0, 0.5, 1], [1, 0, 1]],
+                   "b": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]})
+        H = np.diag([1.0, -0.5, -0.5])
+        at_identity = grad_objective(rho, np.eye(3), H)
+        for c in (1e-5, 1e5):
+            assert abs(grad_objective(rho, c * np.eye(3), H) - at_identity) <= 1e-12
+        with pytest.raises(SingularMatrixError):
+            grad_objective(rho, np.diag([1.0, 1.0, 0.0]), H)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -297,24 +322,28 @@ def whole_tuple_lambda(rho):
 
 
 class TestLeafBranch:
-    """lambda off the split tree on (2, 1) tuples, whose 2-dimensional leaf
-    gets a descent of its own; no benchmark job has such a leaf."""
+    """lambda off the split tree on tuples with a leaf of dimension 2 or 3,
+    which gets a descent of its own; no benchmark job has such a leaf."""
+
+    SHAPES = [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (2, 1, 1)]
 
     @pytest.mark.parametrize("split", [True, False])
     def test_matches_one_descent_on_the_whole_tuple(self, split):
-        kept = 0
-        for seed in range(16):
-            rho = block_tuple(R, random.Random(f"leaves:21:{split}:{seed}"), (2, 1), split)
-            target = rho if is_cr(rho) else semisimplify(rho).rho_ss
-            if len(_series(target)[2]) != 2:
-                continue  # the battery missed the split (ROADMAP item 11)
-            kept += 1
-            report = minimize_displacement(rho)
-            assert report.attained == (ATTAINED if split else DIVERGED), seed
-            assert report.iterations > 0
-            want = whole_tuple_lambda(rho)
-            assert abs(report.lambda_est - want) <= 1e-9 * max(1.0, want), seed
-        assert kept >= 10
+        for sizes in self.SHAPES:
+            tag = "".join(map(str, sizes))
+            kept = 0
+            for seed in range(8):
+                rho = block_tuple(R, random.Random(f"leaves:{tag}:{split}:{seed}"), sizes, split)
+                target = rho if is_cr(rho) else semisimplify(rho).rho_ss
+                if len(_series(target)[2]) != len(sizes):
+                    continue  # the battery missed the split (ROADMAP item 11)
+                kept += 1
+                report = minimize_displacement(rho)
+                assert report.attained == (ATTAINED if split else DIVERGED), (sizes, seed)
+                assert report.iterations > 0
+                want = whole_tuple_lambda(rho)
+                assert abs(report.lambda_est - want) <= 1e-9 * max(1.0, want), (sizes, seed)
+            assert kept >= 4, sizes
 
     def test_budget_is_per_leaf(self):
         rho = block_tuple(R, random.Random("leaves:21:True:0"), (2, 1), True)
