@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from . import jsonio, quotient, tree
-from .errors import LocalRepError, ParseError
+from .errors import DimensionMismatchError, LocalRepError, ParseError, PrimeMismatchError
 from .fields import Field
 from .parabolic import BlockStructure, FundamentalSequence, build_neighbors
 from .reptheory import is_cr, is_nonparabolic, semisimplify
@@ -109,8 +109,10 @@ def run(job: JobSpec):
         payload.update(report.to_json_dict())
     elif job.command == "tree":
         rho = _load_rep(job.input)
-        if rho.field.kind != "padic" or rho.n != 2:
-            raise LocalRepError("tree analysis needs a 2x2 p-adic input")
+        if rho.field.kind != "padic":
+            raise PrimeMismatchError("tree analysis needs a 2x2 p-adic input")
+        if rho.n != 2:
+            raise DimensionMismatchError("tree analysis needs a 2x2 p-adic input")
         gens = {}
         for sym, m in rho.gens.items():
             ell, witness = tree.translation_length(m, job.radius)

@@ -124,10 +124,6 @@ class FpPoly:
         return cls(p, (0,) * k + (c,))
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    @property
     def order(self):
         """Index of the lowest nonzero coefficient (ord_T); INFINITY for 0."""
         for i, c in enumerate(self.coeffs):

@@ -13,13 +13,14 @@ built once per tuple (:func:`_split`).  The split conjugates by one
 adapted basis b, kept with its inverse, so each generator becomes
 [[A, B], [0, D]].  The composition series refines the A
 tuple (rho|_W) and the D tuple (rho_{V/W}), and carries h^-1 down the
-same tree; complete reducibility asks whether A X - X D = B is solvable
-and recurses on the same two tuples, so both questions share one split
-tree and each battery runs once.  Spins and the word algebra close under
-the generators alone: in finite dimension m(U) in U gives m^-1(U) = U, and
-m^-1 lies in K[m] (Cayley-Hamilton).  The seeded probes and intertwiner
-draws all use the one seed ``PROBE_SEED``, so every answer is a function
-of the tuple alone.
+same tree.  Complete reducibility is the existence of the block
+conjugator, built down the same tree from solutions of A X - X D = B, so
+each battery runs once.  Spins, dual spins and the word algebra are one
+breadth-first closure under the generators alone: in finite dimension
+m(U) in U gives m^-1(U) = U, and m^-1 lies in K[m] (Cayley-Hamilton).
+The battery's commutant layer is one pass over one ordered stream.  The
+seeded probes and intertwiner draws all use the one seed ``PROBE_SEED``,
+so every answer is a function of the tuple alone.
 
 Every negative verdict is certified: routines that report a reducible module
 return an invariant flag whose invariance is re-verified exactly before it is
@@ -29,6 +30,7 @@ handed out.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,27 +185,42 @@ def _canonical_rows(field: Field, rows) -> tuple:
     return res.reduced[:res.rank]
 
 
+def _entries(x) -> tuple:
+    """A vector as it is; a matrix read row by row."""
+    return tuple(v for row in x.data for v in row) if isinstance(x, Matrix) else x
+
+
+def _closure(field: Field, dim: int, seed, letters, act):
+    """Breadth-first closure of the span of ``seed`` under ``act(letter, x)``.
+
+    Elements are vectors of length ``dim`` or matrices with ``dim`` entries.
+    Each image new to the span is kept and acted on in turn, until the span
+    has dimension ``dim`` or nothing is left.  Returns the :class:`Echelon`
+    of the span and the elements that entered it, in order, ``seed`` first.
+    """
+    span = Echelon(field)
+    span.insert(_entries(seed))
+    found = [seed]
+    for x in found:  # grows as it is walked
+        for g in letters:
+            if span.rank == dim:
+                return span, found
+            y = act(g, x)
+            if span.insert(_entries(y)):
+                found.append(y)
+    return span, found
+
+
 def spin(rho: Representation, vec) -> tuple:
     """Canonical basis of the smallest invariant subspace containing ``vec``.
 
-    Closure under every generator, with membership decided by echelon
-    reduction; it is closed under the inverses too (module docstring).
+    :func:`_closure` under every generator; it is closed under the inverses
+    too (module docstring).
     """
     vec = tuple(rho.field.coerce(x) for x in vec)
     if all(rho.field.is_zero(x) for x in vec):
         raise ValueError("spin needs a nonzero vector")
-    mats = list(rho.gens.values())
-    span = Echelon(rho.field)
-    span.insert(vec)
-    queue = [vec]
-    while queue and span.rank < rho.n:
-        u = queue.pop(0)
-        for m in mats:
-            w = m.apply(u)
-            if span.insert(w):
-                queue.append(w)
-            if span.rank == rho.n:
-                break
+    span, _ = _closure(rho.field, rho.n, vec, list(rho.gens.values()), Matrix.apply)
     return span.reduced()
 
 
@@ -292,29 +309,12 @@ def _kernel_rows(field: Field, rows) -> tuple:
 def word_algebra_basis(rho: Representation):
     """Echelon basis of the span of all word images inside n x n matrices.
 
-    Grown from the identity by the generators alone: the span is the algebra
-    they generate, which holds their inverses (module docstring).
+    :func:`_closure` of the identity under left multiplication by the
+    generators: I, a, b, a a, b a, ... as they enter the span, which is the
+    algebra they generate and holds their inverses (module docstring).
     """
-    n = rho.n
-    span = Echelon(rho.field)
-    basis = []
-    queue = []
-    for m in [Matrix.identity(rho.field, n)] + list(rho.gens.values()):
-        flat = tuple(x for row in m.data for x in row)
-        if span.insert(flat):
-            basis.append(m)
-            queue.append(m)
-    letters = list(rho.gens.values())
-    while queue and span.rank < n * n:
-        m = queue.pop(0)
-        for g in letters:
-            prod = g * m
-            flat = tuple(x for row in prod.data for x in row)
-            if span.insert(flat):
-                basis.append(prod)
-                queue.append(prod)
-            if span.rank == n * n:
-                break
+    _, basis = _closure(rho.field, rho.n * rho.n, Matrix.identity(rho.field, rho.n),
+                        list(rho.gens.values()), operator.mul)
     return basis
 
 
@@ -371,14 +371,13 @@ def _root_floors(coeffs) -> set:
     return out
 
 
-def _rational_eigenvalues(m: Matrix):
-    """All eigenvalues of a rational matrix that lie in Q (exact).
+def _rational_eigenvalues(m: Matrix) -> list:
+    """The nonzero eigenvalues of a rational matrix that lie in Q (exact).
 
-    0 comes first, then the others by (|numerator|, denominator), + before
-    -.  The characteristic polynomial, cleared to integers c_0 x^d + ... +
-    c_d, becomes monic under y = c_0 x, and its rational roots are y / c_0
-    for the integer roots y of the result, which lie at the ends of the
-    brackets of :func:`_root_floors`.
+    Sorted by (|numerator|, denominator), + before -.  The characteristic
+    polynomial, cleared to integers c_0 x^d + ... + c_d, becomes monic under
+    y = c_0 x, and its rational roots are y / c_0 for the integer roots y of
+    the result, which lie at the ends of the brackets of :func:`_root_floors`.
     """
     from math import lcm
 
@@ -396,25 +395,24 @@ def _rational_eigenvalues(m: Matrix):
 
     denom = lcm(*(co.denominator for co in poly))
     ints = [int(co * denom) for co in poly]
-    if ints[-1] == 0:
-        yield Fraction(0)
-        while ints[-1] == 0:
-            ints.pop()
+    while ints[-1] == 0:
+        ints.pop()
     lead = ints[0]
     monic = [1] + [c * lead ** (i - 1) for i, c in enumerate(ints) if i]
     roots = {Fraction(y, lead) for lo in _root_floors(monic) for y in (lo, lo + 1)
              if _poly_value(monic, y) == 0}
-    yield from sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
 def invariant_subspace_candidates(rho: Representation):
     """Yield verified proper nonzero invariant subspaces, cheapest first.
 
     Layers: spins of standard and seeded probe vectors, the same for the
-    transposed generators (annihilators), J(A)V, and kernels of singular
-    non-scalar elements of the commutant.  J(A)V is the span of the columns
-    of the kernel K of the trace form (a, b) -> tr(ab) on the word algebra
-    A; K is an ideal, so K V is invariant.  In characteristic 0, K is the
+    transposed generators (annihilators), J(A)V, and kernels of the
+    singular elements of :func:`_commutant_stream`, in one pass.  J(A)V is
+    the span of the columns of the kernel K of the trace form
+    (a, b) -> tr(ab) on the word algebra A; K is an ideal, so K V is
+    invariant.  In characteristic 0, K is the
     Jacobson radical J(A) (Dickson), which is nonzero exactly when the tuple
     is not completely reducible; then J(A)V is proper and nonzero, so in
     exact arithmetic this layer certifies every non-cr tuple over Q.  Over
@@ -423,15 +421,10 @@ def invariant_subspace_candidates(rho: Representation):
     yielded, so unsound intermediate heuristics cannot leak wrong answers.
     Nothing is remembered between walks and nothing is deduplicated: a walk
     can yield one subspace more than once.  The decisions read only the
-    split at the first candidate (:func:`_split`).  A tuple whose word
-    algebra is already built and spans all n x n matrices is absolutely
-    irreducible (Burnside), so the walk yields nothing at once.
+    split at the first candidate (:func:`_split`).
     """
     field = rho.field
     n = rho.n
-    algebra = rho._derived.get("algebra")
-    if algebra is not None and len(algebra) == n * n:
-        return
 
     def check(rows):
         if not rows or len(rows) >= n or not _is_invariant(rho, rows):
@@ -443,10 +436,10 @@ def invariant_subspace_candidates(rho: Representation):
         got = check(spin(rho, v))
         if got:
             yield got
-    dual = Representation(field, {s: m.transpose() for s, m in rho.gens.items()})
+    duals = [m.transpose() for m in rho.gens.values()]
     for v in probes:
-        urows = spin(dual, v)
-        if 0 < len(urows) < n:
+        urows = _closure(field, n, v, duals, Matrix.apply)[0].reduced()
+        if len(urows) < n:
             got = check(_kernel_rows(field, urows))
             if got:
                 yield got
@@ -465,45 +458,45 @@ def invariant_subspace_candidates(rho: Representation):
         if got:
             yield got
 
-        comm = intertwiner_space(rho, rho)
-        nonscalar = [c for c in comm if not _is_scalar(c)]
-        for c in nonscalar:
+        nonscalar = [c for c in intertwiner_space(rho, rho) if not _is_scalar(c)]
+        for c in _commutant_stream(field, n, nonscalar):
             if c.is_singular():
                 got = check(_kernel_rows(field, c.data))
                 if got:
                     yield got
-        if field.kind == "padic":
-            for c in nonscalar:
-                for lam in _rational_eigenvalues(c):
-                    shifted = c - Matrix.identity(field, n).scale(lam)
-                    if shifted.is_singular():
-                        got = check(_kernel_rows(field, shifted.data))
-                        if got:
-                            yield got
-        grid_basis = nonscalar[:4]
-        if grid_basis:
-            for coeffs in itertools.product((-1, 0, 1), repeat=len(grid_basis)):
-                if not any(coeffs):
-                    continue
-                cand = Matrix.zeros(field, n)
-                for co, c in zip(coeffs, grid_basis):
-                    cand = cand + c.scale(co)
-                if _is_scalar(cand):
-                    continue
-                if cand.is_singular():
-                    got = check(_kernel_rows(field, cand.data))
-                    if got:
-                        yield got
+
+
+def _commutant_stream(field: Field, n: int, nonscalar):
+    """The commutant elements whose kernels the battery tries, in order.
+
+    The non-scalar basis; over Q, each element shifted by each nonzero
+    rational eigenvalue; then the non-scalar combinations of the first four
+    with coefficients in {-1, 0, 1}, two or more of them nonzero.  A zero
+    shift or a single +-c has the kernel of c, already tried.
+    """
+    yield from nonscalar
+    if field.kind == "padic":
+        for c in nonscalar:
+            for lam in _rational_eigenvalues(c):
+                yield c - Matrix.identity(field, n).scale(lam)
+    grid = nonscalar[:4]
+    for coeffs in itertools.product((-1, 0, 1), repeat=len(grid)):
+        if sum(1 for co in coeffs if co) < 2:
+            continue
+        cand = Matrix.zeros(field, n)
+        for co, c in zip(coeffs, grid):
+            cand = cand + c.scale(co)
+        if not _is_scalar(cand):
+            yield cand
 
 
 def _split(rho: Representation):
     """The tuple's :class:`Split` at the first candidate of
     :func:`invariant_subspace_candidates`, or None when there is none.
 
-    Built once per tuple, and the only thing the decisions below read.
-    A battery that raises caches nothing, so a failure is
-    never taken for an empty battery, which would make a reducible tuple
-    read as irreducible.
+    Built once per tuple, and the only thing the decisions below read.  A
+    battery that raises caches nothing, so a failure is never taken for an
+    empty battery, which would make a reducible tuple read as irreducible.
     """
     if rho.n == 1:
         return None
@@ -522,9 +515,7 @@ def is_nonparabolic(rho: Representation):
     exists, otherwise ``(False, flag)`` with a verified single-step invariant
     flag as certificate: the adapted basis of the tuple's split at the
     first certified subspace (:func:`_split`; :func:`split_at` checks
-    invariance).  "Irreducible" means that the whole battery came up empty;
-    the battery skips its layers only for a tuple whose word algebra was
-    already built and found to span all n x n matrices.
+    invariance).  "Irreducible" means that the whole battery came up empty.
     """
     split = _split(rho)
     if split is None:
@@ -551,21 +542,39 @@ def _sylvester_rows(field: Field, pairs, p: int, q: int) -> list:
     return rows
 
 
+def _block_conjugator(rho: Representation):
+    """c with c^-1 g c = blockdiag(leaves of :func:`_series`) for every
+    generator g, or None when rho is not completely reducible.
+
+    Built down the split tree: at a split with adapted basis b, b^-1 g b is
+    [[A, B], [0, D]] and the complement X (:attr:`Split.complement`) solves
+    A X - X D = B, so c = b [[I, -X], [0, I]] blockdiag(c_W, c_{V/W}); an
+    irreducible tuple has c = I.  A complement is isomorphic to V/W, so rho
+    is cr exactly when every split of the tree has one.
+    """
+    field, split = rho.field, _split(rho)
+    if split is None:
+        return Matrix.identity(field, rho.n)
+    x = split.complement
+    low = None if x is None else _block_conjugator(split.sub)
+    high = None if low is None else _block_conjugator(split.quot)
+    if high is None:
+        return None
+    k, q = split.sub.n, split.quot.n
+    rows = [list(r) for r in Matrix.identity(field, rho.n).data]
+    for i in range(k):
+        rows[i][k:] = [-v for v in x[i * q:(i + 1) * q]]
+    return split.basis * Matrix(field, rows) * Matrix.block_diagonal(field, (low, high))
+
+
 def is_cr(rho: Representation) -> bool:
     """Complete reducibility: the module splits as a direct sum of irreducibles.
 
-    Recursive splitting test on the split tree of :func:`_series`:
-    an irreducible module is completely reducible; otherwise, at the first
-    certified invariant subspace W (the certificate of
-    :func:`is_nonparabolic`), W must have an invariant complement
-    (:attr:`Split.complement`) and rho|_W and rho_{V/W} must again pass.
-    A complement is isomorphic to V/W, so no complement tuple is built.
-    Characteristic-free.
+    Exactly when the block conjugator of :func:`_block_conjugator` exists:
+    some conjugate of rho is block diagonal with the leaves of its split
+    tree on the diagonal.  Characteristic-free.
     """
-    split = _split(rho)
-    if split is None:
-        return True
-    return split.complement is not None and is_cr(split.sub) and is_cr(split.quot)
+    return _block_conjugator(rho) is not None
 
 
 def _series(rho: Representation):

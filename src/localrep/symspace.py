@@ -9,10 +9,13 @@ x -> g x g^T.  For a tuple of generators the displacement function
 is geodesically convex.  Its infimum is attained exactly when the tuple is
 completely reducible (cr), and the infimum lambda(rho) equals
 lambda(rho_ss) of the semisimplification.  :func:`minimize_displacement`
-therefore takes its verdict from :func:`reptheory.is_cr` and reads lambda
-off the irreducible leaves of the split tree of rho (cr) or rho_ss: a
-closed form from the determinants of each leaf, plus one descent on each
-leaf of dimension 2 or more, the only optimiser (:func:`_descend`).  Its
+therefore takes its verdict from one call of ``reptheory._block_conjugator``:
+``is_cr`` is the existence of that conjugator c, which makes every
+generator block diagonal with the leaves of the split tree, and c is also
+where the ATTAINED minimiser starts.  Lambda is read off the irreducible
+leaves of the split tree of rho (cr) or rho_ss: a closed form from the
+determinants of each leaf, plus one descent on each leaf of dimension 2
+or more, the only optimiser (:func:`_descend`).  Its
 objective J(h) = d_rho(h h^T)^2 is what :func:`displacement` reads too.
 ATTAINED for a cr tuple, whose minimiser is assembled from the split tree
 and checked against lambda; DIVERGED for a non-cr one (no minimiser);
@@ -34,7 +37,7 @@ from .errors import (
     NotRealFieldError,
     SingularMatrixError,
 )
-from .reptheory import Representation, _series, _split, is_cr, semisimplify
+from .reptheory import Representation, _block_conjugator, _series, semisimplify
 
 ATTAINED = "ATTAINED"
 DIVERGED = "DIVERGED"
@@ -265,25 +268,6 @@ def _descend(mats, n: int, budget: int):
     return h, j, it, trace, gn, True
 
 
-def _block_conjugator(rho: Representation) -> np.ndarray:
-    """c with c^-1 g c = blockdiag(leaves of :func:`_series`) for each generator g.
-
-    Built down the split tree of a cr tuple: at a split with adapted basis
-    b, b^-1 g b is [[A, B], [0, D]], and the complement X of
-    :attr:`Split.complement` solves A X - X D = B, so [[I, -X], [0, I]]
-    clears B.  Then c = b [[I, -X], [0, I]] blockdiag(c_W, c_{V/W}), in the
-    order in which :func:`_series` lists the leaves.
-    """
-    split = _split(rho)
-    if split is None:
-        return np.eye(rho.n)
-    k, n = split.sub.n, rho.n
-    clear = np.eye(n)
-    clear[:k, k:] = -np.array([float(x) for x in split.complement]).reshape(k, n - k)
-    tail = _block_diagonal((_block_conjugator(split.sub), _block_conjugator(split.quot)))
-    return _floats(split.basis) @ clear @ tail
-
-
 def _log_abs_det(m) -> float:
     return float(np.linalg.slogdet(_floats(m))[1])
 
@@ -293,9 +277,10 @@ def minimize_displacement(rho: Representation, budget: int = 5000) -> Displaceme
 
     The infimum of d_rho is attained exactly when rho is completely
     reducible, and it equals lambda(rho_ss) either way.  So the verdict
-    comes from :func:`is_cr`, and lambda is read off the leaves of the
-    split tree (:func:`_series`) of the cr tuple ``target``: rho itself when
-    cr, else ``semisimplify(rho).rho_ss``.  The minimum set of d_target
+    comes from :func:`_block_conjugator`: rho is cr exactly when its block
+    conjugator c exists.  Lambda is read off the leaves of the split tree
+    (:func:`_series`) of the cr tuple ``target``: rho itself when cr, else
+    ``semisimplify(rho).rho_ss``.  The minimum set of d_target
     holds a point block diagonal in the basis of the leaves, and there the
     distance splits by blocks:
 
@@ -308,11 +293,12 @@ def minimize_displacement(rho: Representation, budget: int = 5000) -> Displaceme
 
     * ATTAINED: rho is cr; the minimiser is H H^T normalised, with
       H = c blockdiag(h_i) for the leaf conjugators h_i (the identity on a
-      line) and c from :func:`_block_conjugator`.  Every M_s is block
-      diagonal at H and the |det| rescalings cancel, so the whole gradient
-      there is the leaf gradients side by side and H needs no descent of
-      its own.  ``grad_norm`` is the whole tuple's gradient norm measured
-      at H, and the displacement there must equal lambda;
+      line) and c the block conjugator, built in the field's arithmetic.
+      Every M_s is block diagonal at H and the |det| rescalings cancel, so
+      the whole gradient there is the leaf gradients side by side and H
+      needs no descent of its own.  ``grad_norm`` is the whole tuple's
+      gradient norm measured at H, and the displacement there must equal
+      lambda;
     * DIVERGED: rho is not cr, and there is no minimiser;
     * MAXITER: the budget of some leaf's descent ran out (no minimiser).
 
@@ -320,7 +306,8 @@ def minimize_displacement(rho: Representation, budget: int = 5000) -> Displaceme
     the gradient of d_target^2 at the block diagonal point.
     """
     whole = list(_action_matrices(rho).values())
-    cr = is_cr(rho)
+    c = _block_conjugator(rho)
+    cr = c is not None
     target = rho if cr else semisimplify(rho).rho_ss
     _, _, leaves = _series(target)
     log_dets = {s: _log_abs_det(m) for s, m in target.gens.items()}
@@ -349,7 +336,7 @@ def minimize_displacement(rho: Representation, budget: int = 5000) -> Displaceme
         status = DIVERGED
     else:
         status = ATTAINED
-        h = _block_conjugator(rho) @ _block_diagonal(conjugators)
+        h = _floats(c) @ _block_diagonal(conjugators)
         gn = float(np.linalg.norm(_gradient(whole, h)))
         minimizer = SPDPoint.normalized(h @ h.T)
         at_min = displacement(rho, minimizer)

@@ -171,6 +171,17 @@ class TestMainExitCodes:
         assert main(["minimize", "--input", path]) == 3
         assert "NOT_REAL_FIELD" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, code", [
+        (REAL_DIAG, "PRIME_MISMATCH"),
+        ({"field": {"type": "padic", "p": 5}, "n": 1, "generators": {"a": [["5"]]}},
+         "DIMENSION_MISMATCH"),
+    ], ids=["real", "1x1"])
+    def test_tree_on_the_wrong_input_names_its_code(self, tmp_path, capsys, payload, code):
+        path = write(tmp_path, "r.json", payload)
+        assert main(["tree", "--input", path]) == 3
+        assert capsys.readouterr().err == (
+            f"error [{code}]: tree analysis needs a 2x2 p-adic input\n")
+
     def test_zero_denominator_literal_is_2(self, tmp_path):
         path = write(tmp_path, "r.json", {
             "field": {"type": "funcfield", "p": 3},

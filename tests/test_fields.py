@@ -85,7 +85,7 @@ class TestFpArithmetic:
         g = FpPoly(3, [1, 1])      # 1 + T
         q, r = f.divmod(g)
         assert q * g + r == f
-        assert r.degree < g.degree
+        assert len(r.coeffs) - 1 < len(g.coeffs) - 1
 
     def test_gcd_monic(self):
         f = FpPoly(5, [0, 0, 2])       # 2 T^2
@@ -174,7 +174,7 @@ class TestTextEncoding:
         cap, deg = LITERAL_DIGITS_CAP, LITERAL_DEGREE_CAP
         assert Q5.parse(f"1e-{cap - 1}") == Fraction(1, 10 ** (cap - 1))
         assert Q5.parse("7" * cap) == int("7" * cap)
-        assert F3.parse(f"T^{deg}").num.degree == deg
+        assert len(F3.parse(f"T^{deg}").num.coeffs) - 1 == deg
         for past in (f"1e-{cap}", f"2E+{cap}", "7" * (cap + 1), f"{'1' * cap}e1",
                      "1e-" + "9" * 20):
             with pytest.raises(ParseError, match="digits"):

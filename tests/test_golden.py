@@ -1,11 +1,12 @@
-"""Golden reports: `analyze`, `semisimplify` and `separate` output pinned byte for byte.
+"""Golden reports: the output of every command pinned byte for byte.
 
 Each `analyze`/`semisimplify` case is a small fixed input over R, Q5 or
 F3(T): irreducible, split (reducible and completely reducible) or
 non-split.  Each `separate` case is a small family whose evidence strings
 take every route: a fingerprint mismatch past the generators' own traces,
 a conjugator, and the Hom/End dimensions of a trace-blind pair.  The
-expected text in ``golden_reports.json`` is ``jsonio.dumps`` of the CLI
+`tree`, `counterexample`, `degenerate` and `minimize` cases are whole jobs
+with their options.  The expected text in ``golden_reports.json`` is ``jsonio.dumps`` of the CLI
 payload, so a performance change to any layer under these commands must
 leave the reports exactly as they were.
 
@@ -83,13 +84,42 @@ FAMILIES = {
 }
 
 
+# "command/case" -> (input files by option name, other options).  tree and
+# counterexample take p-adic input only; degenerate runs over Q5 and F3(T).
+JOBS = {
+    # a hyperbolic and a unipotent generator
+    "tree/Q5": ({"input": _rep(Q5, a=[["1/5", "0"], ["0", "5"]], b=[["1", "1"], ["0", "1"]])},
+                {"radius": 3}),
+    "counterexample/p5": ({}, {"p": 5, "t": "1/25", "radius": 2}),
+    "counterexample/p3": ({}, {"p": 3, "t": "2/3", "radius": 3}),
+    # a block lower and a block upper triangular tuple with one Levi part
+    "degenerate/Q5": ({"input": _rep(Q5, a=[["2", "0"], ["1", "3"]], b=[["1", "0"], ["2", "1"]]),
+                       "input2": _rep(Q5, a=[["2", "1"], ["0", "3"]], b=[["1", "3"], ["0", "1"]])},
+                      {"imax": 6}),
+    "degenerate/F3T": ({"input": _rep(F3, a=[["T", "0"], ["1", "T+1"]]),
+                        "input2": _rep(F3, a=[["T", "1/T"], ["0", "T+1"]])},
+                       {"imax": 6}),
+    # diag(2, 1/2) and diag(1, 4) conjugated by [[-1, -1], [-1, 1]]: every leaf
+    # a line, and every float on the way exact, so the report is too
+    "minimize/R-diagonal-pair": ({"input": _rep(R, a=[["1.25", "0.75"], ["0.75", "1.25"]],
+                                                b=[["2.5", "-1.5"], ["-1.5", "2.5"]])}, {}),
+}
+
+
 def render(case: str, command: str) -> str:
     """``jsonio.dumps`` of the CLI payload for one case and command."""
-    inputs = FAMILIES if command == "separate" else CASES
+    if command in COMMANDS:
+        inputs, options = {"input": CASES[case]}, {}
+    elif command == "separate":
+        inputs, options = {"input": FAMILIES[case]}, {}
+    else:
+        inputs, options = JOBS[f"{command}/{case}"]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "rep.json"
-        path.write_text(json.dumps(inputs[case]), encoding="utf-8")
-        code, payload = run(JobSpec(command=command, input=str(path)))
+        for name, rep in inputs.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(rep), encoding="utf-8")
+            options = dict(options, **{name: str(path)})
+        code, payload = run(JobSpec(command=command, **options))
     assert code == 0
     return jsonio.dumps(payload)
 
@@ -109,9 +139,15 @@ def test_separate_matches_golden(family):
     assert render(family, "separate") == _expected()[f"separate/{family}"]
 
 
+@pytest.mark.parametrize("key", sorted(JOBS))
+def test_job_matches_golden(key):
+    command, case = key.split("/", 1)
+    assert render(case, command) == _expected()[key]
+
+
 def _keys() -> list:
     return ([f"{c}/{k}" for c in COMMANDS for k in sorted(CASES)]
-            + [f"separate/{k}" for k in sorted(FAMILIES)])
+            + [f"separate/{k}" for k in sorted(FAMILIES)] + sorted(JOBS))
 
 
 def test_golden_covers_every_case():

@@ -29,7 +29,7 @@ from localrep.reptheory import (
     split_at,
 )
 
-from conftest import block_tuple, trace_form_is_cr
+from conftest import block_tuple, oracle_is_cr, trace_form_is_cr
 
 Q5 = Field.padic(5)
 Q7 = Field.padic(7)
@@ -614,7 +614,7 @@ def _oracle_is_cr(rho):
 
 
 class TestIsCrOnTheSeriesSplits:
-    """``is_cr`` recurses on the split's own A and D tuples, not on a complement."""
+    """``is_cr`` descends the split's own A and D tuples, not a complement."""
 
     def test_matches_the_complement_oracle(self, exact_corpus, floor_corpus):
         corpus = ([(e.name, e.rep) for e in exact_corpus] + list(floor_corpus)
@@ -649,6 +649,47 @@ class TestIsCrOnTheSeriesSplits:
             assert sorted(leaves) == sorted(sizes), name
             # once on every tuple of the tree that is not a line, and nowhere else
             assert sorted(map(id, runs)) == sorted(id(node) for node in tree if node.n > 1), name
+
+
+class TestBlockConjugator:
+    """c^-1 g c = blockdiag(leaves of the split tree) exactly, and c exists
+    exactly where the tuple is cr."""
+
+    def test_exact_on_the_exact_and_floor_corpora(self, exact_corpus, floor_corpus):
+        corpus = [(e.name, e.rep) for e in exact_corpus] + list(floor_corpus)
+        verdicts = []
+        for name, rho in corpus:
+            if rho.field.is_real:
+                continue
+            rho = _fresh(rho)
+            c = reptheory._block_conjugator(rho)
+            verdicts.append(c is not None)
+            assert verdicts[-1] == oracle_is_cr(rho), name
+            if c is None:
+                continue
+            _, _, leaves = reptheory._series(rho)
+            cinv = c.inv()
+            for s, g in rho.gens.items():
+                want = Matrix.block_diagonal(rho.field, [leaf.gens[s] for leaf in leaves])
+                assert (cinv * g * c).data == want.data, (name, s)
+        assert verdicts.count(True) > 0 and verdicts.count(False) > 0
+
+
+KNOWN_MISSES = [
+    pytest.param(F3, "stress:F3T:(2, 2):True:27", id="F3T-2-2-seed-27"),
+    pytest.param(R, "stress:R:(2, 2):True:0", id="R-2-2-seed-0"),
+]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the battery misses both summands: the commutant is K x K and its non-scalar "
+    "elements tried are invertible, so the split tuple reads irreducible with one "
+    "block of 4 (ROADMAP item 3 step 3 over F3(T), item 11 over R)"))
+@pytest.mark.parametrize("field, seed", KNOWN_MISSES)
+def test_known_battery_miss(field, seed):
+    rho = block_tuple(field, random.Random(seed), (2, 2), True)
+    assert is_nonparabolic(rho)[0] is False
+    assert sorted(composition_series(rho).block_sizes) == [2, 2]
 
 
 class TestRealSplitRegression:

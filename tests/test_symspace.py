@@ -21,10 +21,9 @@ from localrep import (
     semisimplify,
 )
 from localrep.errors import NotRealFieldError, SingularMatrixError
-from localrep.reptheory import _series
+from localrep.reptheory import _block_conjugator, _series
 from localrep.symspace import (
     _action_matrices,
-    _block_conjugator,
     _block_diagonal,
     _descend,
     _floats,
@@ -363,7 +362,7 @@ class TestBlockConjugator:
         cases += [block_tuple(R, random.Random(f"leaves:21:True:{seed}"), (2, 1), True)
                   for seed in range(8)]
         for rho in cases:
-            c = _block_conjugator(rho)
+            c = _floats(_block_conjugator(rho))
             _, _, leaves = _series(rho)
             for s, g in rho.gens.items():
                 want = _block_diagonal([_floats(leaf.gens[s]) for leaf in leaves])
