@@ -18,8 +18,18 @@ from .fields import Field
 from .parabolic import BlockStructure, FundamentalSequence, build_neighbors
 from .reptheory import is_cr, is_nonparabolic, semisimplify
 
-COMMANDS = ("analyze", "semisimplify", "separate", "minimize", "tree",
-            "degenerate", "counterexample")
+#: command -> (help line, the options :func:`run` reads for it)
+COMMANDS = {
+    "analyze": ("irreducibility, complete reducibility and semisimplification", ("input",)),
+    "semisimplify": ("composition series and block-diagonal reduction", ("input",)),
+    "separate": ("pairwise separation table for a family file", ("input", "budget")),
+    "minimize": ("displacement minimisation over the SPD space (real field)",
+                 ("input", "budget")),
+    "tree": ("translation lengths on the p-adic lattice tree (2x2 input)", ("input", "radius")),
+    "degenerate": ("explicit conjugation path joining two opposite tuples",
+                   ("input", "input2", "imax", "blocks")),
+    "counterexample": ("product-of-trees counterexample report", ("p", "t", "imax", "radius")),
+}
 
 
 @dataclass
@@ -151,33 +161,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "displacement minimisation, lattice-tree geometry and "
                     "orbit-closure degenerations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "analyze": "irreducibility, complete reducibility and semisimplification",
-        "semisimplify": "composition series and block-diagonal reduction",
-        "separate": "pairwise separation table for a family file",
-        "minimize": "displacement minimisation over the SPD space (real field)",
-        "tree": "translation lengths on the p-adic lattice tree (2x2 input)",
-        "degenerate": "explicit conjugation path joining two opposite tuples",
-        "counterexample": "product-of-trees counterexample report",
+    options = {
+        "input": {"help": "representation (or family) JSON file"},
+        "input2": {"help": "second representation JSON file"},
+        "imax": {"type": int, "default": JobSpec.imax, "help": "sequence length (1..64)"},
+        "radius": {"type": int, "default": JobSpec.radius,
+                   "help": "most tree descent steps (1..6)"},
+        "budget": {"type": int, "default": JobSpec.budget, "help": "optimizer iteration budget"},
+        "p": {"type": int, "help": "prime"},
+        "t": {"help": "rational parameter with |t| > 1"},
+        "blocks": {"help": "comma-separated block sizes"},
     }
-    for name, help_text in specs.items():
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, names) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--input", help="representation (or family) JSON file")
-        sp.add_argument("--input2", help="second representation JSON file")
-        sp.add_argument("--imax", type=int, default=JobSpec.imax, help="sequence length (1..64)")
-        sp.add_argument("--radius", type=int, default=JobSpec.radius,
-                        help="most tree descent steps (1..6)")
-        sp.add_argument("--budget", type=int, default=JobSpec.budget,
-                        help="optimizer iteration budget")
-        sp.add_argument("--p", type=int, help="prime (counterexample)")
-        sp.add_argument("--t", help="rational parameter with |t| > 1 (counterexample)")
-        sp.add_argument("--blocks", help="comma-separated block sizes (degenerate)")
+        for option in names:
+            sp.add_argument(f"--{option}", **options[option])
     return parser
 
 
 def main(argv=None) -> int:
-    # the parser's dests are exactly JobSpec's fields
+    # each parser dest is a JobSpec field; the command's other fields keep their defaults
     fields = vars(_build_parser().parse_args(argv))
     try:
         job = JobSpec(**fields)

@@ -90,14 +90,14 @@ def semisimplification_to_json(ss: Semisimplification) -> dict:
     }
 
 
-def round_floats(obj, sig: int = 12):
-    """Round every float to the given number of significant digits."""
+def round_floats(obj):
+    """Round every float to 12 significant digits."""
     if isinstance(obj, float):
-        return float(f"{obj:.{sig}g}")
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: round_floats(v, sig) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 

@@ -30,11 +30,8 @@ class Matrix:
 
     __slots__ = ("field", "data")
 
-    def __init__(self, field: Field, rows, coerce: bool = False):
-        if coerce:
-            rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
-        else:
-            rows = tuple(tuple(row) for row in rows)
+    def __init__(self, field: Field, rows):
+        rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatchError("matrix must be square")
@@ -45,7 +42,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows) -> "Matrix":
-        return cls(field, rows, coerce=True)
+        return cls(field, (tuple(field.coerce(x) for x in row) for row in rows))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":

@@ -22,10 +22,10 @@ min_t (v(m_t) + i v(x_t)) wherever one term attains that minimum; only the
 ties are evaluated exactly.  Over R the magnitude |sum m_t x_t^i| is taken
 directly, with no cancellation against the limit.  By block LDU the leading
 block minors of u r N_i are those of r, so the path stays in the big cell
-for every i as soon as r is invertible.  Both limits always hold: every
-ratio c_q/c_p (p < q) has |x| < 1 on R and v(x) >= 1 on exact fields,
-since |c_1| > ... > |c_k|.  So the verdict of :func:`build_neighbors` is
-the big-cell test alone.
+for every i as soon as r is invertible, which inverting r checks.  Both
+limits always hold: every ratio c_q/c_p (p < q) has |x| < 1 on R and
+v(x) >= 1 on exact fields, since |c_1| > ... > |c_k|.  So every trace
+:func:`build_neighbors` returns has a true verdict.
 
 The same closed form, with the identity as left factor, gives
 base^-i g base^i - L(g) = sum_{p<q} (c_q/c_p)^i g[P, Q] for block upper
@@ -243,8 +243,9 @@ class DegenerationTrace:
     imax: int
     table_minus: dict               # symbol -> tuple of EntryTrace
     table_plus: dict
-    big_cell_ok: bool
     initial: dict                   # symbol -> Matrix, rho_0
+    #: inverting the Levi parts has shown every leading block minor nonzero
+    big_cell_ok = True
 
     def to_json_dict(self) -> dict:
         def table(t):
@@ -341,12 +342,6 @@ def _difference_table(field: Field, terms, imax: int, scale: float):
     return tuple(traces)
 
 
-def _leading_minors_nonzero(r: Matrix, blocks: BlockStructure) -> bool:
-    """Are the leading principal minors of r at the block boundaries nonzero?"""
-    return not any(Matrix(r.field, tuple(row[:end] for row in r.data[:end])).is_singular()
-                   for end in blocks.boundaries[1:])
-
-
 def build_neighbors(rho_minus: Representation, rho_plus: Representation,
                     blocks: BlockStructure, seq: FundamentalSequence,
                     imax: int) -> DegenerationTrace:
@@ -368,42 +363,34 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
 
     Both limits hold for every such pair: :class:`FundamentalSequence`
     enforces |c_1| > ... > |c_k|, so every ratio has |x| < 1 on R and
-    valuation at least one on exact fields.  The verdict is therefore
-    ``big_cell_ok``, which uses block LDU: the leading block minors of
-    u r N_i are those of r for every i.  On exact fields inverting r has
-    already shown them nonzero; on R they are tested once against the
-    tolerance.
+    valuation at least one on exact fields.  By block LDU the leading block
+    minors of u r N_i are those of r for every i, and ``r.inv()`` raises
+    :class:`SingularMatrixError` before any of them could be zero: its
+    elimination runs over the rows of the block diagonal r first, with the
+    zero test of every other singularity check, over R too.  So a returned
+    trace has ``big_cell_ok`` and its verdict true.
     """
     f = rho_minus.field
     if rho_plus.field != f or rho_plus.n != rho_minus.n:
         raise LeviMismatchError("tuples live in different spaces")
     if rho_minus.symbols != rho_plus.symbols:
         raise LeviMismatchError("generator symbol sets differ")
-    us, rs, ns = {}, {}, {}
+    initial = {}
+    table_minus, table_plus = {}, {}
     for s in rho_minus.symbols:
         gm, gp = rho_minus.gens[s], rho_plus.gens[s]
         if not blocks.is_block_triangular(gm, "lower"):
             raise NotParabolicError(f"generator {s!r} of the first tuple is not block lower triangular")
         if not blocks.is_block_triangular(gp, "upper"):
             raise NotParabolicError(f"generator {s!r} of the second tuple is not block upper triangular")
-        r_minus = blocks.diagonal_part(gm)
-        r_plus = blocks.diagonal_part(gp)
-        if r_minus != r_plus:
+        r = blocks.diagonal_part(gm)
+        if r != blocks.diagonal_part(gp):
             raise LeviMismatchError(f"Levi projections differ on generator {s!r}")
-        rs[s] = r_minus
-        rinv = r_minus.inv()
-        us[s] = gm * rinv
-        ns[s] = rinv * gp
-
-    symbols = rho_minus.symbols
-    big_cell_ok = not f.is_real or all(_leading_minors_nonzero(rs[s], blocks) for s in symbols)
-    initial = {}
-    table_minus, table_plus = {}, {}
-    for s in symbols:
-        gm, gp = rho_minus.gens[s], rho_plus.gens[s]
-        initial[s] = gm * ns[s]
-        lower = _closed_form_terms(gm, ns[s], seq, by_row=False)
-        upper = _closed_form_terms(us[s], gp, seq, by_row=True)
+        rinv = r.inv()
+        n = rinv * gp
+        initial[s] = gm * n
+        lower = _closed_form_terms(gm, n, seq, by_row=False)
+        upper = _closed_form_terms(gm * rinv, gp, seq, by_row=True)
         sc = initial[s].entry_scale()
         table_minus[s] = _difference_table(f, lower, imax, max(sc, gm.entry_scale()))
         table_plus[s] = _difference_table(f, upper, imax, max(sc, gp.entry_scale()))
@@ -412,6 +399,5 @@ def build_neighbors(rho_minus: Representation, rho_plus: Representation,
         imax=imax,
         table_minus=table_minus,
         table_plus=table_plus,
-        big_cell_ok=big_cell_ok,
         initial=initial,
     )

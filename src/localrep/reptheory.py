@@ -77,7 +77,7 @@ class Representation:
         self.field = field
         self.n = n
         self.gens = mats
-        # "inverses", "algebra", "split", "series" -> built value
+        # "inverses", "split", "series" -> built value
         self._derived = {}
 
     @classmethod
@@ -95,10 +95,6 @@ class Representation:
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
-
-    def word_algebra(self) -> list:
-        """:func:`word_algebra_basis` of this tuple, built once."""
-        return self._derive("algebra", lambda: word_algebra_basis(self))
 
     def conjugate_by(self, h: Matrix) -> "Representation":
         hinv = h.inv()
@@ -445,7 +441,7 @@ def invariant_subspace_candidates(rho: Representation):
                 yield got
 
     # structural layer: J(A)V, spanned by the columns of the trace-form kernel
-    algebra = rho.word_algebra()
+    algebra = word_algebra_basis(rho)
     if len(algebra) < n * n:
         gram = [[a.trace_of_product(b) for b in algebra] for a in algebra]
         cols = []

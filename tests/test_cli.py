@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localrep import Field
-from localrep.cli import JobSpec, main, run
+from localrep.cli import JobSpec, _build_parser, main, run
 from localrep.errors import LocalRepError, ParseError
 from localrep.jsonio import (
     representation_from_json,
@@ -250,6 +250,15 @@ class TestMainExitCodes:
         assert "Traceback" not in proc.stderr
         assert "unrecognized arguments: --seed 1" in proc.stderr
 
+    def test_real_pair_with_a_singular_levi_part_is_3(self, tmp_path, capsys):
+        # the Levi parts diag(1, 0) are singular, and so are both generators
+        minus = write(tmp_path, "m.json", {"field": {"type": "real"}, "n": 2,
+                                           "generators": {"a": [["1", "0"], ["5", "0"]]}})
+        plus = write(tmp_path, "p.json", {"field": {"type": "real"}, "n": 2,
+                                          "generators": {"a": [["1", "3"], ["0", "0"]]}})
+        assert main(["degenerate", "--input", minus, "--input2", plus]) == 3
+        assert "SINGULAR" in capsys.readouterr().err
+
     def test_small_real_generators_are_not_singular(self, tmp_path, capsys):
         # det a = 1e-9 is not zero; the rank test of Matrix.is_singular says so
         def analyze(c):
@@ -339,6 +348,42 @@ class TestMainExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["cr"] is False
+
+
+# the options cli.run reads for each command; every other (command, option)
+# pair is refused by the parser
+READ_OPTIONS = {
+    "analyze": {"input"},
+    "semisimplify": {"input"},
+    "separate": {"input", "budget"},
+    "minimize": {"input", "budget"},
+    "tree": {"input", "radius"},
+    "degenerate": {"input", "input2", "imax", "blocks"},
+    "counterexample": {"p", "t", "imax", "radius"},
+}
+OPTION_VALUES = {"input": "r.json", "input2": "s.json", "imax": "6", "radius": "3",
+                 "budget": "7", "p": "5", "t": "1/5", "blocks": "1,1"}
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", sorted(READ_OPTIONS))
+    @pytest.mark.parametrize("option", sorted(OPTION_VALUES))
+    def test_each_command_takes_only_the_options_it_reads(self, command, option, capsys):
+        argv = [command, f"--{option}", OPTION_VALUES[option]]
+        if option in READ_OPTIONS[command]:
+            parsed = vars(_build_parser().parse_args(argv))
+            assert str(parsed[option]) == OPTION_VALUES[option]
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            assert f"--{option} " in capsys.readouterr().out
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: localrep")
+            assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def _integer_matrix(n):

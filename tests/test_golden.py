@@ -85,7 +85,7 @@ FAMILIES = {
 
 
 # "command/case" -> (input files by option name, other options).  tree and
-# counterexample take p-adic input only; degenerate runs over Q5 and F3(T).
+# counterexample take p-adic input only; degenerate runs over every field.
 JOBS = {
     # a hyperbolic and a unipotent generator
     "tree/Q5": ({"input": _rep(Q5, a=[["1/5", "0"], ["0", "5"]], b=[["1", "1"], ["0", "1"]])},
@@ -99,6 +99,14 @@ JOBS = {
     "degenerate/F3T": ({"input": _rep(F3, a=[["T", "0"], ["1", "T+1"]]),
                         "input2": _rep(F3, a=[["T", "1/T"], ["0", "T+1"]])},
                        {"imax": 6}),
+    # blocks (1, 2) with integer Levi parts [2] + [[1, 1], [1, 2]] and
+    # [-1] + [[2, 1], [1, 1]], both of det 1, and the default base 2^-j: the
+    # inverses and every magnitude on the path are exact floats
+    "degenerate/R": ({"input": _rep(R, a=[["2", "0", "0"], ["1", "1", "1"], ["3", "1", "2"]],
+                                    b=[["-1", "0", "0"], ["2", "2", "1"], ["0", "1", "1"]]),
+                      "input2": _rep(R, a=[["2", "1", "-1"], ["0", "1", "1"], ["0", "1", "2"]],
+                                     b=[["-1", "3", "0"], ["0", "2", "1"], ["0", "1", "1"]])},
+                     {}),
     # diag(2, 1/2) and diag(1, 4) conjugated by [[-1, -1], [-1, 1]]: every leaf
     # a line, and every float on the way exact, so the report is too
     "minimize/R-diagonal-pair": ({"input": _rep(R, a=[["1.25", "0.75"], ["0.75", "1.25"]],
