@@ -4,14 +4,13 @@ Every conjugation orbit closure contains exactly one completely reducible
 orbit; projecting onto it and comparing the projections decides whether two
 tuples become equal in the largest separated quotient of the conjugation
 action; :func:`~localrep.reptheory.same_class` makes every comparison, and
-word traces only word the evidence for tuples found apart.  Over the real
+word traces only supply the evidence for tuples found apart.  Over the real
 field the minimum displacement gives a continuous separating invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .reptheory import (
     Representation,
@@ -40,11 +39,11 @@ class CrClass:
     lam: float | None = None
 
 
-def project(rho: Representation, with_lambda: bool = True) -> CrClass:
+def project(rho: Representation) -> CrClass:
     """Semisimplify and package the class invariants."""
     canonical = semisimplify(rho).rho_ss
     fingerprint = trace_fingerprint(canonical, FINGERPRINT_LENGTH)
-    lam = _lam(canonical, LAMBDA_BUDGET) if rho.field.is_real and with_lambda else None
+    lam = _lam(canonical, LAMBDA_BUDGET) if rho.field.is_real else None
     return CrClass(canonical=canonical, fingerprint=fingerprint, lam=lam)
 
 
@@ -72,7 +71,8 @@ class SeparationResult:
     lambdas: tuple                # per-member lambda (real field) or None
     evidence: dict                # (i, j) -> short description of the verdict
     transitive: bool
-    symmetric: bool
+    #: the table is filled symmetrically
+    symmetric = True
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,10 +90,12 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
     Each member is semisimplified once and ``same_class`` decides each pair,
     over R too, where a trace mismatch beyond the tolerance does not
     override it.  A pair found apart records the index of the first word
-    (shortlex) whose traces differ, the traces grown one word length at a
-    time up to ``FINGERPRINT_LENGTH``; other pairs, and pairs apart whose
-    traces agree, record the evidence of ``same_class``.  The boolean table
-    is checked for symmetry and transitivity.
+    (shortlex) whose traces differ, read one word length at a time up to
+    ``FINGERPRINT_LENGTH`` off each member's trace stream
+    (:func:`~localrep.reptheory.trace_fingerprint`), which builds each
+    word's product once; other pairs, and pairs apart whose traces agree,
+    record the evidence of ``same_class``.  The boolean table is filled
+    symmetrically and checked for transitivity.
     """
     family = list(family)
     if not family:
@@ -104,13 +106,11 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
     canonical = [semisimplify(rho).rho_ss for rho in family]
     lambdas = tuple(_lam(c, budget) for c in canonical) if field.is_real else None
 
-    @lru_cache(maxsize=None)
-    def traces(m, length):
-        return trace_fingerprint(canonical[m], length)
-
     def apart(i, j, found):
         for length in range(1, FINGERPRINT_LENGTH + 1):
-            for k, (a, b) in enumerate(zip(traces(i, length), traces(j, length))):
+            pair = zip(trace_fingerprint(canonical[i], length),
+                       trace_fingerprint(canonical[j], length))
+            for k, (a, b) in enumerate(pair):
                 if not fingerprints_match(field, (a,), (b,)):
                     return f"fingerprint mismatch at word index {k}"
         return found
@@ -135,5 +135,4 @@ def separation_experiment(family, budget: int = 5000) -> SeparationResult:
         lambdas=lambdas,
         evidence=evidence,
         transitive=transitive,
-        symmetric=True,
     )

@@ -43,7 +43,7 @@ from .errors import (
     NotInvariantError,
     SingularMatrixError,
 )
-from .fields import Field, FpPoly, FpRat
+from .fields import Field, FpPoly
 from .linalg import Echelon, Matrix, rref, solve_linear
 from .parabolic import BlockStructure
 
@@ -77,7 +77,8 @@ class Representation:
         self.field = field
         self.n = n
         self.gens = mats
-        # "inverses", "split", "series" -> built value
+        # "inverses", "split", "series", "words" -> built value; "words" is
+        # the trace stream of trace_fingerprint and grows in place
         self._derived = {}
 
     @classmethod
@@ -631,71 +632,27 @@ def semisimplify(rho: Representation) -> Semisimplification:
 # words, traces, conjugacy
 
 
-def iter_reduced_words(symbols, max_len: int):
-    """Freely reduced words in shortlex order over s, s^-1 for s in symbols."""
-    alphabet = []
-    for s in symbols:
-        alphabet.append((s, 1))
-        alphabet.append((s, -1))
-    frontier = [((letter,), letter) for letter in alphabet]
-    for word, _ in frontier:
-        yield word
-    for _ in range(max_len - 1):
-        nxt = []
-        for word, last in frontier:
-            for letter in alphabet:
-                if letter[0] == last[0] and letter[1] == -last[1]:
-                    continue
-                nw = word + (letter,)
-                nxt.append((nw, letter))
-                yield nw
-        frontier = nxt
-
-
-def _cleared(m: Matrix):
-    """``(P, d)`` with ``m = P / d`` and P free of denominators, over F_p(T).
-
-    ``d`` is the lcm of the entries' denominators, as a field element.  The
-    other fields have no such split: there ``d`` is None and P is ``m``.
-    """
-    field = m.field
-    if field.kind != "funcfield":
-        return m, None
-    lcm = FpPoly.const(field.p, 1)
-    for row in m.data:
-        for x in row:
-            lcm = lcm * x.den.divmod(FpPoly.gcd(lcm, x.den))[0]
-    d = FpRat(lcm)
-    return m.scale(d), d
-
-
 def trace_fingerprint(rho: Representation, max_len: int) -> tuple:
     """Traces of all freely reduced words up to ``max_len``, shortlex order.
 
-    Over F_p(T) every letter is taken as P / d with P polynomial
-    (:func:`_cleared`), so the word products stay on the gcd-free
-    polynomial path of :class:`FpRat` and each trace is divided once by the
-    product of its letters' d.  The cost then hardly depends on whether the
-    generators' inverses happen to be polynomial.
+    The letters are s, s^-1 for s in ``rho.symbols``, in that order.  The
+    traces come from the tuple's one word stream, ``rho._derived["words"]``:
+    the traces so far, the index where each length ends in them, and the
+    words of the last length as (last letter, product).  Each length's words
+    are the last length's followed by every letter that does not cancel, so
+    each word's product is its prefix's times one letter, built once per
+    tuple.  The stream grows only when ``max_len`` passes every length asked
+    for before; shorter requests read a prefix of it.
     """
-    letters = {}
-    for s in rho.symbols:
-        letters[(s, 1)] = _cleared(rho.gens[s])
-        letters[(s, -1)] = _cleared(rho.inverses()[s])
-    products = {}  # word -> (P, d) of its product
-    traces = []
-    for word in iter_reduced_words(rho.symbols, max_len):
-        m, d = letters[word[-1]]
-        if len(word) > 1:
-            pm, pd = products[word[:-1]]
-            m, d = pm * m, None if pd is None else pd * d
-        products[word] = m, d
-        traces.append(_trace(m, d))
-    return tuple(traces)
-
-
-def _trace(m: Matrix, d):
-    return m.trace() if d is None else m.trace() / d
+    letters = [((s, e), m) for s in rho.symbols
+               for e, m in ((1, rho.gens[s]), (-1, rho.inverses()[s]))]
+    traces, ends, last = rho._derive("words", lambda: ([], [0], []))
+    while len(ends) <= max_len:
+        last[:] = ([(b, m * g) for a, m in last for b, g in letters if b != (a[0], -a[1])]
+                   if last else letters)
+        traces.extend(m.trace() for _, m in last)
+        ends.append(len(traces))
+    return tuple(traces[:ends[max_len]])
 
 
 def fingerprints_match(field: Field, fp1, fp2) -> bool:

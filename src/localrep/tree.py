@@ -201,11 +201,13 @@ def translation_length(g: Matrix, radius: int):
     with minimum l(g).  When the radius is too small to reach Min g, it ends
     at the vertex ``radius`` steps along the geodesic toward it, with
     minimum d(standard, g standard) - 2 * radius.  Either way the witness is
-    the unique minimiser in the ball.
+    the unique minimiser in the ball.  At each vertex v of basis B, with m
+    the primitive B^-1 g B, d(v, gv) = v(det m): the elementary divisors of
+    m are 1 and p^v(det m).
     """
-    base = TreeVertex.standard(g.field.p)
-    d = vertex_displacement(g, base)
-    basis, m = base.basis, _primitive(g)
+    basis = TreeVertex(Matrix.identity(g.field, 2)).basis  # p-adic g only
+    m = _primitive(g)
+    d = g.field.valuation(m.det())
     for _ in range(radius):
         if d == 0:
             break

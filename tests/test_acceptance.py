@@ -318,10 +318,10 @@ def test_criterion_9_quotient_consistency():
     # real-field clause: fingerprints of the projected class stay within 1e-6
     real_member = Representation.from_entries(
         R, {"a": [[2, 0], [0, 0.5]], "b": [[3, 0], [0, 1 / 3]]})
-    base_fp = project(real_member, with_lambda=False).fingerprint
+    base_fp = project(real_member).fingerprint
     for rows in ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[1, 0], [1, 1]]):
         h = Matrix.from_rows(R, rows)
-        fp = project(real_member.conjugate_by(h), with_lambda=False).fingerprint
+        fp = project(real_member.conjugate_by(h)).fingerprint
         ok = ok and fingerprints_match(R, base_fp, fp)
 
     report(9, "separation matrix matches labels; projection is conjugation-invariant", ok)

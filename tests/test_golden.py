@@ -73,6 +73,13 @@ FAMILIES = {
         _rep(F3, a=[["T+2", "0", "0", "0"], ["0", "T+2", "0", "0"], ["0", "0", "T+2", "0"],
                     ["0", "0", "0", "T+1"]]),
     ],
+    # a of det T^2 + T and b of det T + 2: neither inverse is polynomial.
+    # The members share the traces of a, a^-1, b, b^-1 and a^2 but not of ab
+    # (word index 5): T^2 + 2T against T^2 + T + 1
+    "F3T-words": [
+        _rep(F3, a=[["T", "0"], ["0", "T+1"]], b=[["1", "1"], ["1", "T"]]),
+        _rep(F3, a=[["T", "0"], ["0", "T+1"]], b=[["T", "1"], ["1", "1"]]),
+    ],
     # two classes, each with a conjugate by [[1, 1], [0, 1]]: an irreducible
     # pair, and diag(2, 1/2) with the identity
     "R-two-classes": [

@@ -24,7 +24,6 @@ from localrep.reptheory import (
     find_invertible_intertwiner,
     intertwiner_space,
     invariant_subspace_candidates,
-    iter_reduced_words,
     same_class,
     split_at,
 )
@@ -865,14 +864,31 @@ class TestWitness:
         assert find_invertible_intertwiner(r1, r2) == (None, 0)
 
 
+def _reduced_words(symbols, max_len):
+    """Oracle: every freely reduced word up to ``max_len``, shortlex order."""
+    alphabet = [(s, e) for s in symbols for e in (1, -1)]
+    for length in range(1, max_len + 1):
+        for word in itertools.product(alphabet, repeat=length):
+            if all(b != (a[0], -a[1]) for a, b in zip(word, word[1:])):
+                yield word
+
+
+# generators whose inverses are not polynomial over F3(T): det a = T + 2,
+# det b = T^2
+STREAM_CASES = [
+    (F3, {"a": [["T", "1"], ["1", "1"]], "b": [["T", "1/T"], ["0", "T"]]}),
+    (Q5, {"a": [[2, 1], [1, 1]], "b": [[3, "1/5"], [0, 5]]}),
+    (R, {"a": [[2.0, 1.0], [1.0, 1.0]], "b": [[3.0, 0.2], [0.0, 5.0]]}),
+]
+
+
 class TestWords:
     def test_shortlex_order(self):
-        words = list(iter_reduced_words(("a",), 2))
-        assert words[0] == (("a", 1),)
-        assert words[1] == (("a", -1),)
-        # freely reduced: no a a^-1
-        assert (("a", 1), ("a", -1)) not in words
-        assert (("a", 1), ("a", 1)) in words
+        rho = rep(Q5, {"a": [[2, 0], [0, 3]]})
+        # a, a^-1, a a, a^-1 a^-1; a a^-1 (trace 2) is not freely reduced
+        assert trace_fingerprint(rho, 2) == (5, Fraction(5, 6), 13, Fraction(13, 36))
+        rho = rep(Q5, {"a": [[2, 0], [0, 3]], "b": [[1, 1], [0, 5]]})
+        assert trace_fingerprint(rho, 1) == (5, Fraction(5, 6), 6, Fraction(6, 5))
 
     def test_fingerprint_counts(self):
         rho = rep(Q5, {"a": [[2, 0], [0, 3]], "b": [[1, 1], [0, 1]]})
@@ -888,12 +904,39 @@ class TestWords:
         # entries with denominators and generators whose inverses have them too
         rho = rep(field, gens)
         traces = []
-        for word in iter_reduced_words(rho.symbols, 4):
+        for word in _reduced_words(rho.symbols, 4):
             m = Matrix.identity(field, rho.n)
             for s, e in word:
                 m = m * (rho.gens[s] if e == 1 else rho.gens[s].inv())
             traces.append(m.trace())
         assert trace_fingerprint(rho, 4) == tuple(traces)
+
+    @pytest.mark.parametrize("field, gens", STREAM_CASES)
+    def test_stream_answers_any_order_of_lengths(self, field, gens):
+        # one stream per tuple: after length 4, the shorter lengths read
+        # prefixes of it, equal to what a fresh tuple answers
+        rho = rep(field, gens)
+        got = {length: trace_fingerprint(rho, length) for length in (4, 1, 3, 2)}
+        for length, fp in got.items():
+            assert fp == trace_fingerprint(rep(field, gens), length)
+            assert fp == got[4][:len(fp)]
+            assert len(fp) == sum(1 for _ in _reduced_words(rho.symbols, length))
+
+    def test_each_word_product_is_built_once(self, monkeypatch):
+        # lengths 1..4 on one 2-generator tuple: one product per word of
+        # length 2 to 4, 12 + 36 + 108 = 156, none for the 4 letters
+        rho = rep(*STREAM_CASES[0])
+        products = []
+        mul = Matrix.__mul__
+
+        def counted(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        for length in range(1, 5):
+            trace_fingerprint(rho, length)
+        assert len(products) == sum(1 for _ in _reduced_words(rho.symbols, 4)) - 4 == 156
 
     def test_fingerprint_conjugation_invariant(self):
         rho = rep(Q5, {"a": [[2, 1], [0, 3]], "b": [[0, 1], [1, 0]]})
