@@ -129,8 +129,7 @@ def run(job: JobSpec):
             gens[sym] = {
                 "translation_length": ell,
                 "witness": list(witness.canonical_key()),
-                "displacement_at_base": tree.vertex_displacement(
-                    m, tree.TreeVertex.standard(rho.field.p)),
+                "displacement_at_base": tree.elementary_spread(m),
             }
         payload["generators"] = gens
         payload["radius"] = job.radius

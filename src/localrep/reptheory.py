@@ -18,9 +18,11 @@ conjugator, built down the same tree from solutions of A X - X D = B, so
 each battery runs once.  Spins, dual spins and the word algebra are one
 breadth-first closure under the generators alone: in finite dimension
 m(U) in U gives m^-1(U) = U, and m^-1 lies in K[m] (Cayley-Hamilton).
-The battery's commutant layer is one pass over one ordered stream.  The
-seeded probes and intertwiner draws all use the one seed ``PROBE_SEED``,
-so every answer is a function of the tuple alone.
+The battery's commutant layer tries the kernels of the non-scalar
+commutant basis and, in characteristic 0, of each basis element shifted by
+each of its rational eigenvalues (Holt-Rees).  The seeded probes and
+intertwiner draws all use the one seed ``PROBE_SEED``, so every answer is
+a function of the tuple alone.
 
 Every negative verdict is certified: routines that report a reducible module
 return an invariant flag whose invariance is re-verified exactly before it is
@@ -29,12 +31,10 @@ handed out.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import (
     DimensionMismatchError,
@@ -162,12 +162,13 @@ class Split:
     off: dict
     quot: Representation
 
-    @cached_property
+    @property
     def complement(self):
         """A solution X of A X - X D = B for every generator, or None.
 
         X exists exactly when W has an invariant complement: the span of
-        the columns of b [[-X], [I]], a copy of V/W.  Solved once per split.
+        the columns of b [[-X], [I]], a copy of V/W.  Solved on each read;
+        :func:`_block_conjugator`, the only reader, reads it once per split.
         """
         field, k, q = self.sub.field, self.sub.n, self.quot.n
         symbols = self.sub.symbols
@@ -369,8 +370,10 @@ def _root_floors(coeffs) -> set:
 
 
 def _rational_eigenvalues(m: Matrix) -> list:
-    """The nonzero eigenvalues of a rational matrix that lie in Q (exact).
+    """The nonzero rational eigenvalues of m, its entries read exactly as rationals.
 
+    ``Fraction`` reads a float exactly, so over R these are the eigenvalues
+    of the matrix the floats spell; over Q nothing is rounded to begin with.
     Sorted by (|numerator|, denominator), + before -.  The characteristic
     polynomial, cleared to integers c_0 x^d + ... + c_d, becomes monic under
     y = c_0 x, and its rational roots are y / c_0 for the integer roots y of
@@ -378,12 +381,13 @@ def _rational_eigenvalues(m: Matrix) -> list:
     """
     from math import lcm
 
-    n = m.n
-    ident = Matrix.identity(m.field, n)
+    rationals = Field.padic(2)  # Fraction arithmetic; p plays no part here
+    m = Matrix(rationals, ((Fraction(x) for x in row) for row in m.data))
+    ident = Matrix.identity(rationals, m.n)
     # Faddeev-LeVerrier characteristic polynomial (valid in characteristic 0)
     mk = ident
     cs = []
-    for k in range(1, n + 1):
+    for k in range(1, m.n + 1):
         mk = m * mk
         c = -mk.trace() / k
         cs.append(c)
@@ -406,11 +410,12 @@ def invariant_subspace_candidates(rho: Representation):
 
     Layers: spins of standard and seeded probe vectors, the same for the
     transposed generators (annihilators), J(A)V, and kernels of the
-    singular elements of :func:`_commutant_stream`, in one pass.  J(A)V is
-    the span of the columns of the kernel K of the trace form
-    (a, b) -> tr(ab) on the word algebra A; K is an ideal, so K V is
-    invariant.  In characteristic 0, K is the
-    Jacobson radical J(A) (Dickson), which is nonzero exactly when the tuple
+    singular elements of :func:`_commutant_stream` (the non-scalar
+    commutant basis, then in characteristic 0 its rational eigenvalue
+    shifts), in one pass.  J(A)V is the span of the columns of the kernel
+    K of the trace form (a, b) -> tr(ab) on the word algebra A; K is an
+    ideal, so K V is invariant.  In characteristic 0, K is the Jacobson
+    radical J(A) (Dickson), which is nonzero exactly when the tuple
     is not completely reducible; then J(A)V is proper and nonzero, so in
     exact arithmetic this layer certifies every non-cr tuple over Q.  Over
     F_p(T), K can be larger than J(A) and K V can be all of V, so there it
@@ -466,25 +471,15 @@ def invariant_subspace_candidates(rho: Representation):
 def _commutant_stream(field: Field, n: int, nonscalar):
     """The commutant elements whose kernels the battery tries, in order.
 
-    The non-scalar basis; over Q, each element shifted by each nonzero
-    rational eigenvalue; then the non-scalar combinations of the first four
-    with coefficients in {-1, 0, 1}, two or more of them nonzero.  A zero
-    shift or a single +-c has the kernel of c, already tried.
+    The non-scalar basis, then in characteristic 0 each element shifted by
+    each of its nonzero rational eigenvalues (:func:`_rational_eigenvalues`).
+    A zero shift has the kernel of the element, already tried.
     """
     yield from nonscalar
-    if field.kind == "padic":
+    if field.kind != "funcfield":
         for c in nonscalar:
             for lam in _rational_eigenvalues(c):
                 yield c - Matrix.identity(field, n).scale(lam)
-    grid = nonscalar[:4]
-    for coeffs in itertools.product((-1, 0, 1), repeat=len(grid)):
-        if sum(1 for co in coeffs if co) < 2:
-            continue
-        cand = Matrix.zeros(field, n)
-        for co, c in zip(coeffs, grid):
-            cand = cand + c.scale(co)
-        if not _is_scalar(cand):
-            yield cand
 
 
 def _split(rho: Representation):

@@ -91,8 +91,7 @@ class TreeVertex:
             return NotImplemented
         if self.p != other.p:
             raise PrimeMismatchError(f"p={self.p} vs p={other.p}")
-        e = elementary_spread(self.basis.inv() * other.basis)
-        return e == 0
+        return self.canonical_key() == other.canonical_key()
 
     def __hash__(self):
         return hash((self.p, self.canonical_key()))
@@ -155,12 +154,13 @@ def ball(center: TreeVertex, radius: int):
 
 
 def vertex_displacement(g: Matrix, v: TreeVertex) -> int:
-    """Distance from a vertex to its image under g."""
+    """Distance from a vertex to its image under g: the spread of B^-1 g B
+    for the basis B of v."""
     if g.field.kind != "padic":
         raise PrimeMismatchError("the acting matrix must be p-adic")
     if g.field.p != v.p:
         raise PrimeMismatchError(f"p={g.field.p} vs p={v.p}")
-    return tree_dist(v, TreeVertex(g * v.basis))
+    return elementary_spread(v.basis.inv() * g * v.basis)
 
 
 def _primitive(m: Matrix) -> Matrix:
@@ -205,7 +205,9 @@ def translation_length(g: Matrix, radius: int):
     the primitive B^-1 g B, d(v, gv) = v(det m): the elementary divisors of
     m are 1 and p^v(det m).
     """
-    basis = TreeVertex(Matrix.identity(g.field, 2)).basis  # p-adic g only
+    if g.field.kind != "padic":
+        raise PrimeMismatchError("tree vertices need the p-adic model")
+    basis = Matrix.identity(g.field, 2)
     m = _primitive(g)
     d = g.field.valuation(m.det())
     for _ in range(radius):
@@ -323,8 +325,7 @@ def product_counterexample(p: int, t, imax: int = 12, radius: int = 4) -> Counte
         t=field.format(t),
         v_t=v_t,
         fixed_vertex_key=fixed.canonical_key() if fixed is not None else (),
-        fixed_vertex_distance=(tree_dist(TreeVertex.standard(p), fixed)
-                               if fixed is not None else -1),
+        fixed_vertex_distance=elementary_spread(fixed.basis) if fixed is not None else -1,
         translation_length_g1=ell,
         stabilized=stabilized,
         min_displacement_on_y=ell,

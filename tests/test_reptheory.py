@@ -28,7 +28,13 @@ from localrep.reptheory import (
     split_at,
 )
 
-from conftest import _unitriangular, block_tuple, oracle_is_cr, trace_form_is_cr
+from conftest import (
+    _unitriangular,
+    block_tuple,
+    conjugated_diagonal,
+    oracle_is_cr,
+    trace_form_is_cr,
+)
 
 Q5 = Field.padic(5)
 Q7 = Field.padic(7)
@@ -692,10 +698,10 @@ def test_known_battery_miss(field, seed):
 
 
 # (sizes, split, seed) of the real instances the conjugation oracle gets
-# wrong: 25 where rho and its conjugate disagree, 7 where both give the same
+# wrong: 24 where rho and its conjugate disagree, 7 where both give the same
 # wrong answer, and (2, 2) split seed 1, whose conjugate reads singular
 REAL_CONJUGATION_FAULTS = {
-    ((1, 1), True, 0), ((1, 1), True, 2), ((1, 1), True, 3), ((1, 1), True, 4),
+    ((1, 1), True, 2), ((1, 1), True, 3), ((1, 1), True, 4),
     ((2, 1), True, 0), ((2, 1), True, 2), ((2, 1), True, 4), ((2, 1), True, 6),
     ((2, 1), True, 7),
     ((1, 2), True, 0), ((1, 2), True, 1), ((1, 2), True, 4), ((1, 2), True, 5),
@@ -751,6 +757,64 @@ class TestRealSplitRegression:
         flag = composition_series(rho)
         assert flag.verify(rho)
         semisimplify(rho)
+
+
+class TestRealEigenvalueShift:
+    """Over R the commutant elements are shifted by their rational eigenvalues,
+    read exactly from the floats, as over Q5."""
+
+    def test_pair_with_common_rational_eigenlines_splits(self):
+        # both fix the lines through (3, 1) and (5, 2), and no probe lies on
+        # either; the commutant element [[5.5, -7.5], [1, 0]] has eigenvalues
+        # 5/2 and 3.  Over Q5 it splits the same way.
+        gens = {"a": [[21, -60], [8, -23]], "b": [[-17, 45], [-6, 16]]}
+        for field in (R, Q5):
+            rho = rep(field, gens)
+            ok, flag = is_nonparabolic(rho)
+            assert not ok and flag.verify(rho)
+            assert composition_series(rho).block_sizes == (1, 1)
+            assert is_cr(rho)
+
+    def test_eigenvalues_of_a_float_matrix_are_read_exactly(self):
+        m = Matrix.from_rows(R, [[5.5, -7.5], [1, 0]])
+        assert reptheory._rational_eigenvalues(m) == [Fraction(3), Fraction(5, 2)]
+        # the float 0.1 is the rational 3602879701896397 / 2^55, not 1/10
+        got = reptheory._rational_eigenvalues(Matrix.from_rows(R, [[0.1, 0], [0, 2]]))
+        assert got == [Fraction(2), Fraction(0.1)]
+
+    def test_shift_splits_where_the_commutant_basis_is_invertible(self):
+        rho = block_tuple(R, random.Random("stress:R:(1, 2):True:7"), (1, 2), True)
+        nonscalar = [c for c in intertwiner_space(rho, rho) if not reptheory._is_scalar(c)]
+        # one invertible non-scalar element: no kernel to try but a shift's
+        assert len(nonscalar) == 1 and not nonscalar[0].is_singular()
+        assert is_nonparabolic(rho)[0] is False
+        assert is_cr(rho)
+        assert sorted(composition_series(rho).block_sizes) == [1, 2]
+
+
+# real tuples that a combination of commutant basis elements with
+# coefficients in {-1, 0, 1} once split: a combination read singular under
+# the float zero test, while no basis element has an eigenvalue that is
+# exactly rational in the floats
+GRID_SPLITS = [
+    pytest.param(lambda: block_tuple(R, random.Random("grid:R:(1, 2, 1):True:21"),
+                                     (1, 2, 1), True), [1, 1, 2], id="R-1-2-1-split-21"),
+    pytest.param(lambda: block_tuple(R, random.Random("grid:R:(1, 2, 1):True:56"),
+                                     (1, 2, 1), True), [1, 1, 2], id="R-1-2-1-split-56"),
+    pytest.param(lambda: conjugated_diagonal(R, random.Random("gridd:R:4:174"), 4)[0],
+                 [1, 1, 1, 1], id="R-diagonal-4-174"),
+]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "every non-scalar commutant element tried is invertible, so the split real "
+    "tuple reads irreducible with one block of 4 (ROADMAP item 11)"))
+@pytest.mark.parametrize("build, blocks", GRID_SPLITS)
+def test_real_split_without_a_rational_eigenvalue(build, blocks):
+    rho = build()
+    assert is_nonparabolic(rho)[0] is False
+    assert is_cr(rho)
+    assert sorted(composition_series(rho).block_sizes) == blocks
 
 
 def _spin_with_inverses(rho, vec):
