@@ -11,11 +11,20 @@ tolerance of :mod:`localrep.fields` over R.
 Over R this gives up partial pivoting on purpose: callers read each reduced
 row's pivot as its first nonzero entry, which the largest-entry rule does
 not keep.
+
+Over Q (the ``padic`` model) the work is done on integers: a product's
+entry is one integer dot product over the two denominators, normalised once,
+and ``Echelon`` stores primitive integer rows, with one content gcd per row
+operation (fraction-free elimination, Bareiss 1968).  The answers are the
+same rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatchError,
@@ -118,6 +127,12 @@ class Matrix:
         self._check(other)
         n = self.n
         cols = tuple(other.column(j) for j in range(n))
+        if self.field.kind == "padic":
+            cols = [_over_lcm(c) for c in cols]
+            return Matrix(self.field, tuple(
+                tuple(Fraction(sum(map(mul, r, c)), d * e) for c, e in cols)
+                for r, d in map(_over_lcm, self.data)
+            ))
         return Matrix(self.field, tuple(
             tuple(_dot(row, col) for col in cols) for row in self.data
         ))
@@ -128,6 +143,10 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix times column vector (any sequence of field elements)."""
+        if self.field.kind == "padic":
+            v, e = _over_lcm(vec)
+            return tuple(Fraction(sum(map(mul, r, v)), d * e)
+                         for r, d in map(_over_lcm, self.data))
         return tuple(_dot(row, vec) for row in self.data)
 
     def transpose(self) -> "Matrix":
@@ -144,8 +163,14 @@ class Matrix:
 
         Adds the diagonal entries of the product in the order of
         ``(self * other).trace()``, so float results agree bit for bit.
+        Over Q it is one integer dot product of the entries of self and the
+        transpose of other, over their two denominators.
         """
         self._check(other)
+        if self.field.kind == "padic":
+            a, d = _over_lcm([x for row in self.data for x in row])
+            b, e = _over_lcm([x for col in zip(*other.data) for x in col])
+            return Fraction(sum(map(mul, a, b)), d * e)
         t = self.field.zero()
         for i, row in enumerate(self.data):
             t = t + _dot(row, other.column(i))
@@ -211,6 +236,25 @@ def _dot(row, col):
     return acc
 
 
+def _over_lcm(vec):
+    """Rationals (or ints) as ``(ints, d)``: vec = ints / d, d the lcm of the denominators."""
+    pairs = [x.as_integer_ratio() for x in vec]
+    d = lcm(*[q for _, q in pairs])
+    return [p * (d // q) for p, q in pairs], d
+
+
+def _primitive(v: list):
+    """``(v / g, g)`` for an integer vector, g its content; g is 0 exactly when v is."""
+    g = gcd(*v)
+    return (v if g < 2 else [x // g for x in v]), g
+
+
+def _eliminate(v: list, row: list, piv: int):
+    """:func:`_primitive` of ``row[piv] * v - v[piv] * row``, which is zero at ``piv``."""
+    a, c = row[piv], v[piv]
+    return _primitive([a * x - c * y for x, y in zip(v, row)])
+
+
 # ---------------------------------------------------------------------------
 # the elimination kernel
 
@@ -229,18 +273,26 @@ class Echelon:
     rows no longer start at their pivot and those readings break, so partial
     pivoting was given up.  Entries below the zero test at a pivot are set
     to exact zeros.
+
+    Over Q an ``Echelon`` is an :class:`_IntegerEchelon`: its rows are
+    primitive integer vectors instead, each a multiple of the normalised row,
+    and each row operation divides by one content gcd.  No ``Fraction`` is
+    formed until the reduced rows are read off.
     """
 
     __slots__ = ("field", "rows", "pivots", "raw", "scale")
 
+    def __new__(cls, field: Field):
+        return object.__new__(_IntegerEchelon if field.kind == "padic" else cls)
+
     def __init__(self, field: Field):
         self.field = field
-        self.rows = []      # normalised rows, in insertion order
+        self.rows = []      # normalised (over Q primitive) rows, in insertion order
         self.pivots = []    # their pivot columns
         self.raw = []       # the residuals' entries at their pivots
         self.scale = 0.0
 
-    def reduce(self, vec) -> list:
+    def _reduce(self, vec) -> list:
         """Residual of ``vec``: exactly zero at every pivot."""
         vec = list(vec)
         for row, piv in zip(self.rows, self.pivots):
@@ -266,14 +318,14 @@ class Echelon:
         return None
 
     def contains(self, vec) -> bool:
-        return self._pivot(self.reduce(vec)) is None
+        return self._pivot(self._reduce(vec)) is None
 
     def insert(self, vec) -> bool:
         """Reduce ``vec`` and store the residual; True if it was new."""
         f = self.field
         if f.is_real:
             self.scale = max(self.scale, max((abs(x) for x in vec), default=0.0))
-        res = self.reduce(vec)
+        res = self._reduce(vec)
         piv = self._pivot(res)
         if piv is None:
             return False
@@ -318,6 +370,61 @@ class Echelon:
         for x in self.raw:
             det = det * x
         return -det if inversions % 2 else det
+
+
+class _IntegerEchelon(Echelon):
+    """:class:`Echelon` over Q, fraction-free: rows are primitive integer vectors.
+
+    A vector is reduced as ``s * v``, with v a primitive integer vector and
+    s a rational.  Reducing v by a row R with pivot p replaces it by
+    ``R[p] v - v[p] R`` divided by its content g, which multiplies s by
+    ``g / R[p]``; so the residual, its pivot and ``raw`` (s times the pivot
+    entry, for :meth:`det`) are those of elimination in ``Fraction``.
+    ``reduced`` back-substitutes in integers and divides each row by its
+    pivot entry last, which gives the same canonical reduced rows.
+    """
+
+    __slots__ = ()
+
+    def _reduce(self, vec):
+        """``(v, num, den)`` with residual ``num / den * v``; None when it is zero."""
+        v, den = _over_lcm(vec)
+        v, num = _primitive(v)
+        if not num:
+            return None
+        for row, piv in zip(self.rows, self.pivots):
+            if v[piv]:
+                den *= row[piv]
+                v, g = _eliminate(v, row, piv)
+                if not g:
+                    return None
+                num *= g
+        return v, num, den
+
+    def contains(self, vec) -> bool:
+        return self._reduce(vec) is None
+
+    def insert(self, vec) -> bool:
+        res = self._reduce(vec)
+        if res is None:
+            return False
+        v, num, den = res
+        piv = next(i for i, x in enumerate(v) if x)
+        self.rows.append(v)
+        self.pivots.append(piv)
+        self.raw.append(Fraction(num * v[piv], den))
+        return True
+
+    def reduced(self) -> tuple:
+        rows = list(self.rows)
+        for i in range(len(rows) - 1, 0, -1):
+            piv = self.pivots[i]
+            for j in range(i):
+                if rows[j][piv]:
+                    rows[j] = _eliminate(rows[j], rows[i], piv)[0]
+        order = sorted(range(len(rows)), key=self.pivots.__getitem__)
+        return tuple(tuple(Fraction(x, rows[i][self.pivots[i]]) for x in rows[i])
+                     for i in order)
 
 
 @dataclass(frozen=True)

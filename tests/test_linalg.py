@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from localrep import Field, Matrix, rref
 from localrep.errors import SingularMatrixError
 from localrep.fields import REAL_TOLERANCE
-from localrep.linalg import RrefResult, solve_linear
+from localrep.linalg import Echelon, RrefResult, solve_linear
 
 Q5 = Field.padic(5)
 F3 = Field.funcfield(3)
@@ -388,3 +389,144 @@ class TestIsSingular:
     def test_real_rank_deficit_is_singular(self):
         assert Matrix.from_rows(R, [[1e-3, 2e-3, 0], [0, 1e-3, 0], [1e-3, 3e-3, 0]]).is_singular()
         assert Matrix.from_rows(R, [[2.0, 1.0], [4.0, 2.0]]).is_singular()
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel over Q against Fraction arithmetic
+
+
+def reference_product(a, b):
+    """Triple-loop matrix product in ``Fraction``."""
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), start=Fraction(0))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _rational(rng, digits):
+    """A seeded rational: up to ``digits`` digits over a product of powers of 3, 5 and 7."""
+    den = rng.choice((1, 1, 3, 5, 25, 7, 21, 125 * 9))
+    return Fraction(rng.randint(-10 ** digits, 10 ** digits), den)
+
+
+def _rational_arrays(seed, digits):
+    """Seeded rational arrays: square and rectangular, full rank and deficient,
+    with zero rows, and the all-zero array."""
+    rng = random.Random(f"integer-kernel:{seed}:{digits}")
+    for _ in range(6):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.4:
+            ncols = nrows
+        rows = [[_rational(rng, digits) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.5 and min(nrows, ncols) > 1:  # rank below both sizes
+            k = rng.randint(1, min(nrows, ncols) - 1)
+            left = [[_rational(rng, digits) for _ in range(k)] for _ in range(nrows)]
+            rows = [list(r) for r in reference_product(left, rows[:k])]
+        if rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+        yield rows
+    yield [[Fraction(0)] * 3 for _ in range(2)]
+
+
+class TestIntegerKernelOverQ:
+    """Over Q, products and elimination run on integers; every answer is
+    compared with textbook ``Fraction`` arithmetic (the Gauss-Jordan
+    reference above and a triple-loop product)."""
+
+    CASES = pytest.mark.parametrize("digits", [2, 40, 400])
+    SEEDS = pytest.mark.parametrize("seed", range(4))
+
+    @CASES
+    @SEEDS
+    def test_rref_and_solve(self, digits, seed):
+        rng = random.Random(f"rhs:{seed}:{digits}")
+        for rows in _rational_arrays(seed, digits):
+            res = rref(Q5, rows)
+            assert res == reference_rref(Q5, rows)
+            assert all(isinstance(x, Fraction) for row in res.reduced for x in row)
+            rhs = [_rational(rng, digits) for _ in rows]
+            assert solve_linear(Q5, rows, rhs) == reference_solve(Q5, rows, rhs)
+            x0 = [_rational(rng, digits) for _ in rows[0]]
+            rhs = [sum((a * b for a, b in zip(r, x0)), start=Fraction(0)) for r in rows]
+            sol = solve_linear(Q5, rows, rhs)
+            assert sol == reference_solve(Q5, rows, rhs) and sol is not None
+
+    @CASES
+    @SEEDS
+    def test_det_inverse_and_singularity(self, digits, seed):
+        for rows in _rational_arrays(seed, digits):
+            if len(rows) != len(rows[0]):
+                continue
+            m = Matrix(Q5, rows)
+            det = m.det()
+            assert det == reference_det(Q5, [list(r) for r in rows])
+            assert m.is_singular() == (det == 0)
+            want = _inverse_or_none(lambda: reference_inverse(Q5, m.data))
+            assert _inverse_or_none(lambda: m.inv().data) == want
+            assert (want is None) == (det == 0)
+
+    @CASES
+    @SEEDS
+    def test_echelon_insert_and_contains(self, digits, seed):
+        rng = random.Random(f"echelon:{seed}:{digits}")
+        for rows in _rational_arrays(seed, digits):
+            ncols = len(rows[0])
+            ech = Echelon(Q5)
+            ranks = [reference_rref(Q5, rows[:k]).rank for k in range(len(rows) + 1)]
+            for k, row in enumerate(rows):
+                assert ech.insert(row) is (ranks[k + 1] > ranks[k])
+                assert ech.contains(row)
+            zero = [Fraction(0)] * ncols
+            assert ech.contains(zero) and ech.insert(zero) is False
+            coeffs = [_rational(rng, digits) for _ in rows]
+            combo = [sum((c * r[j] for c, r in zip(coeffs, rows)), start=Fraction(0))
+                     for j in range(ncols)]
+            assert ech.contains(combo) and ech.insert(combo) is False
+            ref = reference_rref(Q5, rows)
+            # over Q a nonzero kernel vector is orthogonal to the row span, so outside it
+            for v in ref.kernel:
+                assert not ech.contains(v)
+            assert ech.reduced() == ref.reduced[:ref.rank]
+            assert (ech.rank, tuple(sorted(ech.pivots))) == (ref.rank, ref.pivots)
+
+    @CASES
+    @SEEDS
+    def test_product_and_apply(self, digits, seed):
+        rng = random.Random(f"product:{seed}:{digits}")
+        for n in (1, 2, 3, 5):
+            a, b = ([[_rational(rng, digits) for _ in range(n)] for _ in range(n)]
+                    for _ in range(2))
+            if n > 1:
+                a[rng.randrange(n)] = [Fraction(0)] * n
+            ma, mb = Matrix(Q5, a), Matrix(Q5, b)
+            assert (ma * mb).data == reference_product(a, b)
+            v = [_rational(rng, digits) for _ in range(n)]
+            assert ma.apply(v) == tuple(r[0] for r in reference_product(a, [[x] for x in v]))
+            assert ma.apply([0] * n) == (Fraction(0),) * n
+            assert ma.trace_of_product(mb) == sum(
+                (reference_product(a, b)[i][i] for i in range(n)), start=Fraction(0))
+
+    def test_rows_are_primitive_integer_vectors(self):
+        for rows in _rational_arrays(0, 40):
+            ech = Echelon(Q5)
+            for row in rows:
+                ech.insert(row)
+            for v in ech.rows:
+                assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+
+    @pytest.mark.parametrize("op", ["product", "apply"])
+    def test_products_make_no_fraction_arithmetic(self, monkeypatch, op):
+        # as sums of entrywise products, this product made 27 multiplications
+        # and 18 additions of Fractions, and the matrix times vector 9 and 6
+        calls = []
+        for name in ("__mul__", "__add__"):
+            def counted(self, other, name=name, real=getattr(Fraction, name)):
+                calls.append(name)
+                return real(self, other)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        a = Matrix.from_rows(Q5, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        b = Matrix.from_rows(Q5, [[2, 0, 1], [1, 3, 0], [0, 1, 4]])
+        if op == "product":
+            a * b
+        else:
+            a.apply(b.data[0])
+        assert calls == []
