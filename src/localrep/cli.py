@@ -60,10 +60,10 @@ class JobSpec:
                 raise ParseError(f"bad --p: {exc}") from exc
 
 
-def _load_rep(path):
+def _load_rep(path, read=jsonio.representation_from_json):
     if path is None:
         raise ParseError("missing --input")
-    return jsonio.representation_from_json(jsonio.load_json_file(path))
+    return read(jsonio.load_json_file(path))
 
 
 def _infer_blocks(job: JobSpec, rho_minus, rho_plus) -> BlockStructure:
@@ -108,7 +108,7 @@ def run(job: JobSpec):
         payload.update(jsonio.semisimplification_to_json(ss))
         payload["block_sizes"] = list(ss.flag.block_sizes)
     elif job.command == "separate":
-        family = jsonio.family_from_json(jsonio.load_json_file(job.input))
+        family = _load_rep(job.input, jsonio.family_from_json)
         result = quotient.separation_experiment(family, budget=job.budget)
         payload.update(result.to_json_dict())
     elif job.command == "minimize":
@@ -185,13 +185,14 @@ def main(argv=None) -> int:
     try:
         job = JobSpec(**fields)
         code, payload = run(job)
+        report = jsonio.dumps(payload)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LocalRepError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 3
-    print(jsonio.dumps(payload))
+    print(report)
     return code
 
 

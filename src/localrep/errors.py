@@ -54,6 +54,10 @@ class PrimeMismatchError(LocalRepError):
     code = "PRIME_MISMATCH"
 
 
+class FloatOverflowError(LocalRepError):
+    code = "FLOAT_OVERFLOW"
+
+
 class BadParameterError(LocalRepError):
     code = "BAD_T"
 

@@ -8,8 +8,9 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 
-from .errors import ParseError, SingularMatrixError
+from .errors import FloatOverflowError, ParseError, SingularMatrixError
 from .fields import Field
 from .linalg import Matrix
 from .reptheory import InvariantFlag, Representation, Semisimplification
@@ -91,8 +92,10 @@ def semisimplification_to_json(ss: Semisimplification) -> dict:
 
 
 def round_floats(obj):
-    """Round every float to 12 significant digits."""
+    """Round every float to 12 significant digits; JSON has no inf or nan."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise FloatOverflowError(f"the report holds {obj}: a float computation overflowed")
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}

@@ -12,19 +12,22 @@ Over R this gives up partial pivoting on purpose: callers read each reduced
 row's pivot as its first nonzero entry, which the largest-entry rule does
 not keep.
 
-Over Q (the ``padic`` model) the work is done on integers: a product's
-entry is one integer dot product over the two denominators, normalised once,
-and ``Echelon`` stores primitive integer rows, with one content gcd per row
-operation (fraction-free elimination, Bareiss 1968).  The answers are the
-same rationals.
+One routine, :func:`_product`, forms every product of rows by columns,
+here and in the other modules.  Over Q (the ``padic`` model) the work is
+done on integers: a product's entry is one integer dot product over the
+lcm denominators of its row and column, normalised once, and ``Echelon``
+stores primitive integer rows, with one content gcd per row operation
+(fraction-free elimination, Bareiss 1968).  The answers are the same
+rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     DimensionMismatchError,
@@ -59,11 +62,6 @@ class Matrix:
         return cls(field, tuple(
             tuple(one if i == j else zero for j in range(n)) for i in range(n)
         ))
-
-    @classmethod
-    def zeros(cls, field: Field, n: int) -> "Matrix":
-        zero = field.zero()
-        return cls(field, tuple(tuple(zero for _ in range(n)) for _ in range(n)))
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> "Matrix":
@@ -125,17 +123,7 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        n = self.n
-        cols = tuple(other.column(j) for j in range(n))
-        if self.field.kind == "padic":
-            cols = [_over_lcm(c) for c in cols]
-            return Matrix(self.field, tuple(
-                tuple(Fraction(sum(map(mul, r, c)), d * e) for c, e in cols)
-                for r, d in map(_over_lcm, self.data)
-            ))
-        return Matrix(self.field, tuple(
-            tuple(_dot(row, col) for col in cols) for row in self.data
-        ))
+        return Matrix(self.field, _product(self.field, self.data, tuple(zip(*other.data))))
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
@@ -143,11 +131,7 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix times column vector (any sequence of field elements)."""
-        if self.field.kind == "padic":
-            v, e = _over_lcm(vec)
-            return tuple(Fraction(sum(map(mul, r, v)), d * e)
-                         for r, d in map(_over_lcm, self.data))
-        return tuple(_dot(row, vec) for row in self.data)
+        return tuple(r[0] for r in _product(self.field, self.data, (vec,)))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, tuple(self.column(j) for j in range(self.n)))
@@ -156,24 +140,6 @@ class Matrix:
         t = self.field.zero()
         for i in range(self.n):
             t = t + self.data[i][i]
-        return t
-
-    def trace_of_product(self, other: "Matrix"):
-        """tr(self * other) without forming the product: O(n^2), not O(n^3).
-
-        Adds the diagonal entries of the product in the order of
-        ``(self * other).trace()``, so float results agree bit for bit.
-        Over Q it is one integer dot product of the entries of self and the
-        transpose of other, over their two denominators.
-        """
-        self._check(other)
-        if self.field.kind == "padic":
-            a, d = _over_lcm([x for row in self.data for x in row])
-            b, e = _over_lcm([x for col in zip(*other.data) for x in col])
-            return Fraction(sum(map(mul, a, b)), d * e)
-        t = self.field.zero()
-        for i, row in enumerate(self.data):
-            t = t + _dot(row, other.column(i))
         return t
 
     def det(self):
@@ -227,13 +193,18 @@ class Matrix:
         return v
 
 
-def _dot(row, col):
-    it = iter(zip(row, col))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+def _product(field: Field, rows, cols) -> tuple:
+    """Entry (i, j) is the dot product of ``rows[i]`` and ``cols[j]`` (sequences).
+
+    Over Q it is one integer dot product over the lcm denominators of the
+    row and the column; over F_p(T) and R the entrywise products are added
+    in order, so rows and columns must not be empty there.
+    """
+    if field.kind == "padic":
+        cols = [_over_lcm(c) for c in cols]
+        return tuple(tuple(Fraction(sum(map(mul, r, c)), d * e) for c, e in cols)
+                     for r, d in map(_over_lcm, rows))
+    return tuple(tuple(reduce(add, map(mul, r, c)) for c in cols) for r in rows)
 
 
 def _over_lcm(vec):

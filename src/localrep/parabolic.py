@@ -46,7 +46,7 @@ from .errors import (
     NotParabolicError,
 )
 from .fields import Field, INFINITY
-from .linalg import Matrix
+from .linalg import Matrix, _product
 
 if TYPE_CHECKING:
     from .reptheory import Representation
@@ -286,16 +286,16 @@ def _closed_form_terms(left: Matrix, right: Matrix, seq: FundamentalSequence,
     b = seq.blocks.boundaries
     owner = [bi for bi, size in enumerate(seq.blocks.sizes) for _ in range(size)]
     cs = [seq.base.data[lo][lo] for lo in b[:-1]]
+    cols = tuple(zip(*right.data))
+    # left[:, P] right[P, :] for each block P but the last
+    partial = [_product(f, [r[lo:hi] for r in left.data], [c[lo:hi] for c in cols])
+               for lo, hi in zip(b, b[1:-1])]
     out = []
     for row in range(left.n):
         for col in range(left.n):
             q = owner[row] if by_row else owner[col]
-            terms = []
-            for p in range(q):
-                m = sum((left.data[row][a] * right.data[a][col] for a in range(b[p], b[p + 1])),
-                        start=zero)
-                if m != zero:
-                    terms.append((m, cs[q] / cs[p]))
+            terms = [(m[row][col], cs[q] / cs[p])
+                     for p, m in enumerate(partial[:q]) if m[row][col] != zero]
             out.append((row, col, terms))
     return out
 

@@ -44,7 +44,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .fields import Field, FpPoly
-from .linalg import Echelon, Matrix, rref, solve_linear
+from .linalg import Echelon, Matrix, _product, rref, solve_linear
 from .parabolic import BlockStructure
 
 PROBE_SEED = 0x5EED
@@ -414,16 +414,18 @@ def invariant_subspace_candidates(rho: Representation):
     commutant basis, then in characteristic 0 its rational eigenvalue
     shifts), in one pass.  J(A)V is the span of the columns of the kernel
     K of the trace form (a, b) -> tr(ab) on the word algebra A; K is an
-    ideal, so K V is invariant.  In characteristic 0, K is the Jacobson
-    radical J(A) (Dickson), which is nonzero exactly when the tuple
-    is not completely reducible; then J(A)V is proper and nonzero, so in
-    exact arithmetic this layer certifies every non-cr tuple over Q.  Over
-    F_p(T), K can be larger than J(A) and K V can be all of V, so there it
-    certifies nothing.  Every candidate is re-verified before being
-    yielded, so unsound intermediate heuristics cannot leak wrong answers.
-    Nothing is remembered between walks and nothing is deduplicated: a walk
-    can yield one subspace more than once.  The decisions read only the
-    split at the first candidate (:func:`_split`).
+    ideal, so K V is invariant.  The Gram matrix and the matrices of K are
+    one product each (:func:`_trace_form`, :func:`_combinations`).  In
+    characteristic 0, K is the Jacobson radical J(A) (Dickson), which is
+    nonzero exactly when the tuple is not completely reducible; then J(A)V
+    is proper and nonzero, so in exact arithmetic this layer certifies
+    every non-cr tuple over Q.  Over F_p(T), K can be larger than J(A) and
+    K V can be all of V, so there it certifies nothing.  Every candidate is
+    re-verified before being yielded, so unsound intermediate heuristics
+    cannot leak wrong answers.  Nothing is remembered between walks and
+    nothing is deduplicated: a walk can yield one subspace more than once.
+    The decisions read only the split at the first candidate
+    (:func:`_split`).
     """
     field = rho.field
     n = rho.n
@@ -449,13 +451,8 @@ def invariant_subspace_candidates(rho: Representation):
     # structural layer: J(A)V, spanned by the columns of the trace-form kernel
     algebra = word_algebra_basis(rho)
     if len(algebra) < n * n:
-        gram = [[a.trace_of_product(b) for b in algebra] for a in algebra]
-        cols = []
-        for coeffs in rref(field, gram).kernel:
-            jmat = Matrix.zeros(field, n)
-            for c, a in zip(coeffs, algebra):
-                jmat = jmat + a.scale(c)
-            cols.extend(jmat.transpose().data)
+        kernel = rref(field, _trace_form(field, algebra)).kernel
+        cols = [c for m in _combinations(field, kernel, algebra) for c in m.transpose().data]
         got = cols and check(_canonical_rows(field, cols))
         if got:
             yield got
@@ -466,6 +463,19 @@ def invariant_subspace_candidates(rho: Representation):
                 got = check(_kernel_rows(field, c.data))
                 if got:
                     yield got
+
+
+def _trace_form(field: Field, algebra) -> tuple:
+    """Gram matrix of (a, b) -> tr(ab): a read by rows dotted with b read by columns."""
+    return _product(field, [_entries(a) for a in algebra],
+                    [_entries(b.transpose()) for b in algebra])
+
+
+def _combinations(field: Field, coeff_rows, mats) -> list:
+    """The matrices sum_j c_j mats[j], one for each row c of ``coeff_rows``."""
+    n = mats[0].n
+    sums = _product(field, coeff_rows, tuple(zip(*map(_entries, mats))))
+    return [Matrix(field, (s[i:i + n] for i in range(0, n * n, n))) for s in sums]
 
 
 def _commutant_stream(field: Field, n: int, nonscalar):
@@ -689,14 +699,9 @@ def _intertwiner_draws(field: Field, n: int, basis):
         k += 1
     rng = random.Random(PROBE_SEED)
     for _ in range(INTERTWINER_RANDOM_TRIALS):
-        m = Matrix.zeros(field, n)
-        for b in basis:
-            if field.kind == "funcfield":
-                c = FpPoly(field.p, [rng.randrange(field.p) for _ in range(k)])
-            else:
-                c = rng.randrange(2 * n)
-            m = m + b.scale(c)
-        yield m
+        coeffs = [field.coerce(FpPoly(field.p, [rng.randrange(field.p) for _ in range(k)]))
+                  if field.kind == "funcfield" else rng.randrange(2 * n) for _ in basis]
+        yield _combinations(field, [coeffs], basis)[0]
 
 
 def find_invertible_intertwiner(r1: Representation, r2: Representation):

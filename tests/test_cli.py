@@ -1,9 +1,14 @@
+import io
 import json
+import random
 import subprocess
 import sys
+import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from localrep import Field
@@ -384,6 +389,141 @@ class TestOptionSurface:
             err = capsys.readouterr().err
             assert err.startswith("usage: localrep")
             assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+# the CLI contract under fuzzed files and options: every run exits 0, 2 or 3,
+# writes no traceback, and prints one JSON report when it exits 0
+
+#: value draws that are mostly good: (values that parse, values that do not)
+FIELDS = (({"type": "padic", "p": 5}, {"type": "padic", "p": 3},
+           {"type": "funcfield", "p": 3}, {"type": "real"}),
+          ({"type": "padic", "p": 4}, {"type": "funcfield"}, {"type": "complex"}, "real"))
+LITERALS = {  # per field type; the nonzero good literals come first
+    "padic": (("1", "-1", "2", "3", "5", "1/5", "-7/25", "10", "0"), ("x", "1/0", "", "1.5.2")),
+    "funcfield": (("1", "2", "T", "T+1", "2*T", "1/T", "T^2+2", "T/T+1", "0"), ("T/0", "S", "T^")),
+    "real": (("1", "-2.5", "0.5", "3", "1e-3", "1e10", "1/3", "0"), ("nan", "inf", "x")),
+}
+OPTION_VALUES_FUZZ = {
+    "imax": (("1", "6", "12"), ("0", "65", "x")),
+    "radius": (("1", "3", "6"), ("0", "7")),
+    "budget": (("1", "7", "30"), ("0", "100001")),
+    "p": (("2", "3", "5"), ("4", "1", "-5")),
+    "t": (("1/5", "1/3", "1/2", "25/2", "5"), ("1", "0", "x", "1/0")),
+    "blocks": (("1,1", "1,2", "2,1", "1,1,1", "3"), ("2", "x", "0,2")),
+}
+JUNK_FILES = ("{", "[]", "null", "\"x\"", '{"field": {"type": "real"}}',
+              '{"field": {"type": "real"}, "generators": {"a": [[1, 2]]}}')
+#: seconds one fuzzed run may take
+FUZZ_RUN_SECONDS = 20
+
+
+def _mostly(rng, draws, bad_share=0.1):
+    good, bad = draws
+    return rng.choice(bad if rng.random() < bad_share else good)
+
+
+def _fuzzed_shape(rng):
+    return _mostly(rng, FIELDS), rng.randint(1, 3), rng.choice(("a", "ab"))
+
+
+def _fuzzed_representation(rng, descriptor, n, symbols):
+    """A representation object, upper triangular with a nonzero diagonal half the time."""
+    kind = descriptor.get("type") if isinstance(descriptor, dict) else None
+    good, bad = LITERALS.get(kind, LITERALS["padic"])
+    gens = {}
+    for s in symbols:
+        size = _mostly(rng, ((n,), (1, 2, 3)))
+        triangular = rng.random() < 0.5
+        gens[s] = [[_mostly(rng, (good, bad), 0.02) if not triangular or j > i else
+                    rng.choice(good[:-1]) if j == i else "0"
+                    for j in range(size)] for i in range(size)]
+    return {"field": descriptor, "n": n, "generators": gens}
+
+
+def _fuzzed_argv(rng, command, folder):
+    """``command`` with each option it reads given nine times in ten, the
+    input files written under ``folder``."""
+    shape = _fuzzed_shape(rng)
+    rho = _fuzzed_representation(rng, *shape)
+    argv = [command]
+    for option in sorted(READ_OPTIONS[command]):
+        if rng.random() < 0.1:
+            continue
+        if option not in ("input", "input2"):
+            argv += [f"--{option}", _mostly(rng, OPTION_VALUES_FUZZ[option])]
+            continue
+        path = folder / f"{option}.json"
+        if rng.random() < 0.1:
+            text = rng.choice(JUNK_FILES)
+        elif command == "separate":
+            # the other members mostly share the first one's field, size and symbols
+            others = [shape if rng.random() < 0.9 else _fuzzed_shape(rng)
+                      for _ in range(rng.randint(0, 2))]
+            family = [rho] + [_fuzzed_representation(rng, *o) for o in others]
+            text = json.dumps({"family": family} if rng.random() < 0.5 else family)
+        elif option == "input" and command == "degenerate" and rng.random() < 0.5:
+            # the transposes: block lower triangular, with rho's Levi part
+            text = json.dumps(dict(rho, generators={
+                s: [list(col) for col in zip(*m)] for s, m in rho["generators"].items()}))
+        else:
+            text = json.dumps(rho)
+        path.write_text(text)
+        argv += [f"--{option}", str(path)]
+    return argv
+
+
+class TestCliContractFuzz:
+    """ROADMAP item 5's contract over representation and family files (n <= 3,
+    at most two generators, at most three members) and the 16 (command,
+    option) pairs; each seed draws one run."""
+
+    @given(command=st.sampled_from(sorted(READ_OPTIONS)), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=1500, derandomize=True, deadline=None)
+    def test_exit_code_stderr_and_report(self, tmp_path_factory, command, seed):
+        argv = _fuzzed_argv(random.Random(seed), command, tmp_path_factory.mktemp("fuzz"))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the installed script prints them and goes on
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a value
+                code = exc.code
+        event(f"{command} exits {code}")
+        assert time.perf_counter() - start < FUZZ_RUN_SECONDS, argv
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert json.loads(out.getvalue())["command"] == command
+
+
+class TestFuzzFindings:
+    """Runs the contract fuzz above once ended in a traceback."""
+
+    @staticmethod
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "localrep.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in proc.stderr
+        return proc.returncode, proc.stderr
+
+    def test_separate_without_input(self):
+        assert self.cli("separate") == (2, "error: missing --input\n")
+
+    @pytest.mark.parametrize("budget, a, b", [
+        # the cr verdict holds, and the gradient at the minimiser overflows
+        ("30", [["1/3", "1", "1/3"], ["-2.5", "1/3", "3"], ["0", "1e10", "1"]],
+         [["1", "3", "1/3"], ["0", "3", "0.5"], ["0", "0", "-2.5"]]),
+        # the budget runs out, and the gradient at the last point overflows
+        ("1", [["3", "1", "1e-3"], ["-2.5", "0.5", "1/3"], ["1e10", "3", "0"]],
+         [["0.5", "0", "-2.5"], ["0", "0.5", "1e-3"], ["0", "0", "-2.5"]]),
+    ])
+    def test_minimize_with_an_overflowing_gradient(self, tmp_path, budget, a, b):
+        path = write(tmp_path, "r.json", {"field": {"type": "real"}, "n": 3,
+                                          "generators": {"a": a, "b": b}})
+        code, err = self.cli("minimize", "--budget", budget, "--input", path)
+        assert (code, err.splitlines()[-1]) == (
+            3, "error [FLOAT_OVERFLOW]: the report holds inf: a float computation overflowed")
 
 
 def _integer_matrix(n):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from localrep import Field, Matrix, rref
 from localrep.errors import SingularMatrixError
 from localrep.fields import REAL_TOLERANCE
-from localrep.linalg import Echelon, RrefResult, solve_linear
+from localrep.linalg import Echelon, RrefResult, _product, solve_linear
 
 Q5 = Field.padic(5)
 F3 = Field.funcfield(3)
@@ -501,8 +501,10 @@ class TestIntegerKernelOverQ:
             v = [_rational(rng, digits) for _ in range(n)]
             assert ma.apply(v) == tuple(r[0] for r in reference_product(a, [[x] for x in v]))
             assert ma.apply([0] * n) == (Fraction(0),) * n
-            assert ma.trace_of_product(mb) == sum(
-                (reference_product(a, b)[i][i] for i in range(n)), start=Fraction(0))
+            # rectangular: the first rows of a against the first columns of b
+            k = rng.randint(1, n)
+            assert _product(Q5, a[:k], list(zip(*b))[:n - k + 1]) == tuple(
+                row[:n - k + 1] for row in reference_product(a, b)[:k])
 
     def test_rows_are_primitive_integer_vectors(self):
         for rows in _rational_arrays(0, 40):
@@ -530,3 +532,42 @@ class TestIntegerKernelOverQ:
         else:
             a.apply(b.data[0])
         assert calls == []
+
+
+# the one product routine against sums of entrywise products in each field
+
+
+def reference_dot_array(field, rows, cols):
+    """Entry (i, j) is ``field.zero()`` plus the products of rows[i] and cols[j], in order."""
+    return tuple(tuple(sum((a * b for a, b in zip(r, c)), start=field.zero()) for c in cols)
+                 for r in rows)
+
+
+def _entry(field, rng):
+    if field.is_real:
+        return rng.uniform(-10.0, 10.0)
+    if field.kind == "padic":
+        return Fraction(rng.randint(-99, 99), rng.choice((1, 3, 25, 7 * 125)))
+    return field.coerce(rng.choice(["0", "1", "2", "T", "2*T+1", "1/T", "T/T+1", "T^2+2/T^2+T+2"]))
+
+
+class TestProduct:
+    @pytest.mark.parametrize("field", [Q5, F3, R], ids=["Q5", "F3T", "R"])
+    def test_against_the_reference(self, field):
+        rng = random.Random(f"product:{field}")
+        for nrows, length, ncols in [(1, 1, 1), (3, 3, 3), (5, 5, 5), (2, 4, 3), (4, 2, 1),
+                                     (3, 5, 1), (1, 6, 4), (0, 3, 2), (2, 3, 0), (0, 2, 0)]:
+            rows = [[_entry(field, rng) for _ in range(length)] for _ in range(nrows)]
+            cols = [[_entry(field, rng) for _ in range(length)] for _ in range(ncols)]
+            if nrows > 1:
+                rows[0] = [field.zero()] * length
+            got = _product(field, rows, cols)
+            # floats too: both add the same products in the same order
+            assert got == reference_dot_array(field, rows, cols)
+            assert len(got) == nrows and all(len(r) == ncols for r in got)
+
+    def test_empty_inputs(self):
+        for field in (Q5, F3, R):
+            assert _product(field, [], []) == ()
+            assert _product(field, [], [[field.one()]]) == ()
+            assert _product(field, [[field.one()], [field.zero()]], []) == ((), ())

@@ -19,6 +19,8 @@ from localrep import (
 )
 from localrep.cli import JobSpec, run
 from localrep.errors import NotInvariantError
+from localrep.fields import REAL_TOLERANCE
+from localrep.linalg import solve_linear
 from localrep import jsonio, reptheory
 from localrep.reptheory import (
     find_invertible_intertwiner,
@@ -881,16 +883,80 @@ def _random_entry(field, rng):
     return field.coerce(rng.choice(["0", "1", "2", "T", "2*T+1", "1/T", "T/T+1", "T^2+2/T^2+T+2"]))
 
 
-class TestTraceOfProduct:
+class TestTraceForm:
+    """The J(A)V layer's Gram matrix and its sums of matrices."""
+
     @pytest.mark.parametrize("field", [R, Q5, F3])
-    def test_equals_trace_of_the_product(self, field):
+    def test_gram_entries_are_traces_of_products(self, field):
         rng = random.Random(11)
         for n in (1, 2, 3, 5):
-            for _ in range(6):
-                a, b = (Matrix(field, [[_random_entry(field, rng) for _ in range(n)]
-                                       for _ in range(n)]) for _ in range(2))
-                # exact equality, floats included: the sums run in the same order
-                assert a.trace_of_product(b) == (a * b).trace()
+            mats = [Matrix(field, [[_random_entry(field, rng) for _ in range(n)]
+                                   for _ in range(n)]) for _ in range(4)]
+            gram = reptheory._trace_form(field, mats)
+            for a, row in zip(mats, gram):
+                for b, got in zip(mats, row):
+                    want = (a * b).trace()
+                    if field.is_real:
+                        assert abs(got - want) <= REAL_TOLERANCE * max(1.0, abs(want))
+                    else:
+                        assert got == want
+
+    def test_radical_layer_makes_no_fraction_arithmetic_over_q(self, monkeypatch):
+        # the J(A)V layer runs between the word algebra and the commutant,
+        # so Fraction arithmetic is counted from word_algebra_basis's return
+        # to intertwiner_space's call
+        rho = block_tuple(Q5, random.Random("radical-layer"), (2, 2), False)
+        assert is_cr(rho) is False  # so J(A) is nonzero and the layer sums matrices
+        rho = Representation(Q5, dict(rho.gens))
+        calls, counting = [], []
+        for name in ("__mul__", "__add__"):
+            def counted(self, other, name=name, real=getattr(Fraction, name)):
+                if counting:
+                    calls.append(name)
+                return real(self, other)
+
+            monkeypatch.setattr(Fraction, name, counted)
+
+        def basis(rho, real=reptheory.word_algebra_basis):
+            out = real(rho)
+            counting.append(True)
+            return out
+
+        def space(r1, r2, real=reptheory.intertwiner_space):
+            counting.clear()
+            return real(r1, r2)
+
+        monkeypatch.setattr(reptheory, "word_algebra_basis", basis)
+        monkeypatch.setattr(reptheory, "intertwiner_space", space)
+        list(invariant_subspace_candidates(rho))
+        assert calls == []
+
+
+class TestIntertwinerDraws:
+    @pytest.mark.parametrize("field", [Q5, F3, R], ids=["Q5", "F3T", "R"])
+    def test_each_draw_is_a_combination_with_coefficients_in_the_set(self, field):
+        # Hom(x + x + y, itself) has dimension 5; coefficients lie in S:
+        # 0..5 over Q and R, polynomials of degree < 2 over F_3(T) (9 >= 6)
+        c1, c2 = ("T", "T+1") if field.kind == "funcfield" else (2, 3)
+        rho = rep(field, {"a": [[c1, 0, 0], [0, c1, 0], [0, 0, c2]]})
+        basis = intertwiner_space(rho, rho)
+        draws = list(reptheory._intertwiner_draws(field, 3, basis))
+        assert len(basis) == 5
+        assert len(draws) == len(basis) + reptheory.INTERTWINER_RANDOM_TRIALS
+        assert all(d.data == b.data for d, b in zip(draws, basis))
+        flat = [[x for row in b.data for x in row] for b in basis]
+        for d in draws[len(basis):]:
+            rhs = [x for row in d.data for x in row]
+            coeffs = solve_linear(field, [list(col) for col in zip(*flat)], rhs)
+            if field.kind == "funcfield":
+                assert all(c.den.is_one() and len(c.num.coeffs) <= 2 for c in coeffs)
+            else:
+                coeffs = [round(c) for c in coeffs]
+                assert all(0 <= c < 6 for c in coeffs)
+            want = Matrix(field, [[sum((field.coerce(c) * b.data[i][j]
+                                        for c, b in zip(coeffs, basis)), start=field.zero())
+                                   for j in range(3)] for i in range(3)])
+            assert want == d
 
 
 def _matrices_equal(field, x, y):

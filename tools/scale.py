@@ -1,19 +1,21 @@
-"""Time the structural decisions on larger Q5 tuples.
+"""Time the structural decisions on larger Q5 and F3(T) tuples.
 
     python3 tools/scale.py
 
-Builds ``block_tuple`` (``tests/conftest.py``) over Q5 for each shape of
-``SHAPES``, split and non-split, on ``SEEDS`` seeds each (seed strings
-``scale:<sizes>:<split>:<seed>``), and on each tuple calls, in this order,
+Builds ``block_tuple`` (``tests/conftest.py``) over each field of
+``FIELDS`` for each shape of ``SHAPES``, split and non-split, on ``SEEDS``
+seeds each (seed strings ``scale:<sizes>:<split>:<seed>``, the same for
+both fields), and on each tuple calls, in this order,
 ``is_nonparabolic``, ``is_cr``, ``composition_series`` and
 ``semisimplify``.  Only those four calls are timed.  They share one fresh
 tuple per seed, so what one of them caches on the tuple serves the later
 ones, as in one CLI job.
 
-Prints the seconds each cell took over its seeds, then one sha256 over
-every answer in order: the verdicts, the composition series' block sizes
-and basis change, and the semisimplified generators.  Two checkouts print
-the same digest exactly when every answer is the same.  A build or
+Prints the seconds each cell took over its seeds, then per field one
+sha256 over every answer in order: the verdicts, the composition series'
+block sizes and basis change, and the semisimplified generators.  Two
+checkouts print the same digest exactly when every answer over that field
+is the same.  A build or
 decision that raises answers with its error text.  Print-only: the exit
 status is 0 whatever the answers are.
 """
@@ -34,7 +36,7 @@ from conftest import block_tuple  # noqa: E402
 from localrep import (  # noqa: E402
     Field, composition_series, is_cr, is_nonparabolic, semisimplify)
 
-FIELD = Field.padic(5)
+FIELDS = (("Q5", Field.padic(5)), ("F3T", Field.funcfield(3)))
 SHAPES = ((2, 2), (3, 3), (4, 4))
 SEEDS = 3
 
@@ -52,24 +54,25 @@ def answer(rho):
 
 
 def main() -> int:
-    digest = hashlib.sha256()
-    for sizes in SHAPES:
-        for split in (True, False):
-            seconds = 0.0
-            for seed in range(SEEDS):
-                try:
-                    rho = block_tuple(FIELD, random.Random(f"scale:{sizes}:{split}:{seed}"),
-                                      sizes, split)
-                except Exception as exc:
-                    got = f"{type(exc).__name__}: {exc}"
-                else:
-                    start = time.perf_counter()
-                    got = answer(rho)
-                    seconds += time.perf_counter() - start
-                digest.update(f"{sizes} {split} {seed} {got}\n".encode("utf-8"))
-            print(f"Q5 {sizes} {'split' if split else 'nonsplit'}: "
-                  f"{seconds:.2f} s over {SEEDS} tuples")
-    print(f"answers Q5 sha256 {digest.hexdigest()}")
+    for name, field in FIELDS:
+        digest = hashlib.sha256()
+        for sizes in SHAPES:
+            for split in (True, False):
+                seconds = 0.0
+                for seed in range(SEEDS):
+                    try:
+                        rho = block_tuple(field, random.Random(f"scale:{sizes}:{split}:{seed}"),
+                                          sizes, split)
+                    except Exception as exc:
+                        got = f"{type(exc).__name__}: {exc}"
+                    else:
+                        start = time.perf_counter()
+                        got = answer(rho)
+                        seconds += time.perf_counter() - start
+                    digest.update(f"{sizes} {split} {seed} {got}\n".encode("utf-8"))
+                print(f"{name} {sizes} {'split' if split else 'nonsplit'}: "
+                      f"{seconds:.2f} s over {SEEDS} tuples", flush=True)
+        print(f"answers {name} sha256 {digest.hexdigest()}", flush=True)
     return 0
 
 
