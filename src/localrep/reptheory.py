@@ -9,7 +9,7 @@ simultaneous conjugacy of semisimple tuples.
 
 All three module-structure decisions read one thing: the tuple's split
 (:func:`split_at`) at the first invariant subspace W the search certifies,
-built once per tuple (:func:`_split`).  The split conjugates by one
+read once per tuple (:func:`_split`).  The split conjugates by one
 adapted basis b, kept with its inverse, so each generator becomes
 [[A, B], [0, D]].  The composition series refines the A
 tuple (rho|_W) and the D tuple (rho_{V/W}), and carries h^-1 down the
@@ -24,9 +24,9 @@ each of its rational eigenvalues (Holt-Rees).  The seeded probes and
 intertwiner draws all use the one seed ``PROBE_SEED``, so every answer is
 a function of the tuple alone.
 
-Every negative verdict is certified: routines that report a reducible module
-return an invariant flag whose invariance is re-verified exactly before it is
-handed out.
+Every negative verdict rests on one invariance test, :func:`_is_invariant`,
+run by :func:`split_at` before it splits and by :meth:`InvariantFlag.verify`
+at each block boundary of a flag before the flag is handed out.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     DimensionMismatchError,
@@ -133,9 +134,11 @@ class InvariantFlag:
         return BlockStructure(self.basis_change.n, self.block_sizes)
 
     def verify(self, rho: Representation) -> bool:
-        h, blocks = self.basis_change, self.blocks
-        hinv = h.inv()
-        return all(blocks.is_block_triangular(hinv * m * h) for m in rho.gens.values())
+        """h is invertible, and at each block boundary b its first b columns
+        pass :func:`_is_invariant`; nothing is inverted or conjugated."""
+        h = self.basis_change
+        return not h.is_singular() and all(_is_invariant(rho, h.transpose().data[:b])
+                                           for b in accumulate(self.block_sizes[:-1]))
 
 
 @dataclass(frozen=True)
@@ -223,6 +226,7 @@ def spin(rho: Representation, vec) -> tuple:
 
 
 def _is_invariant(rho: Representation, rows) -> bool:
+    """Each generator's image of each row lies in the span of ``rows``."""
     span = Echelon(rho.field)
     for r in rows:
         span.insert(r)
@@ -259,19 +263,18 @@ def _adapted_basis_matrix(field: Field, rows, n: int) -> Matrix:
 def split_at(rho: Representation, rows) -> Split:
     """Split ``rho`` at the invariant subspace spanned by the canonical ``rows``.
 
-    One adapted basis b (:func:`_adapted_basis_matrix`), one inverse and one
-    conjugation per generator.  Raises :class:`NotInvariantError` when a
-    lower-left entry of some b^-1 g b is not zero.
+    Raises :class:`NotInvariantError` unless :func:`_is_invariant` holds; then
+    one adapted basis b (:func:`_adapted_basis_matrix`), one inverse and one
+    conjugation per generator, whose lower-left block is not read.
     """
+    if not _is_invariant(rho, rows):
+        raise NotInvariantError("subspace is not invariant")
     field, k = rho.field, len(rows)
-    blocks = BlockStructure(rho.n, (k, rho.n - k))
     basis = _adapted_basis_matrix(field, rows, rho.n)
     binv = basis.inv()
     sub, off, quot = {}, {}, {}
     for s, m in rho.gens.items():
         t = binv * m * basis
-        if not blocks.is_block_triangular(t):
-            raise NotInvariantError("subspace is not invariant")
         sub[s] = Matrix(field, (row[:k] for row in t.data[:k]))
         off[s] = tuple(row[k:] for row in t.data[:k])
         quot[s] = Matrix(field, (row[k:] for row in t.data[k:]))
@@ -406,34 +409,36 @@ def _rational_eigenvalues(m: Matrix) -> list:
 
 
 def invariant_subspace_candidates(rho: Representation):
-    """Yield verified proper nonzero invariant subspaces, cheapest first.
+    """Yield the :class:`Split` at each invariant subspace found, cheapest first.
 
     Layers: spins of standard and seeded probe vectors, the same for the
-    transposed generators (annihilators), J(A)V, and kernels of the
-    singular elements of :func:`_commutant_stream` (the non-scalar
-    commutant basis, then in characteristic 0 its rational eigenvalue
-    shifts), in one pass.  J(A)V is the span of the columns of the kernel
-    K of the trace form (a, b) -> tr(ab) on the word algebra A; K is an
-    ideal, so K V is invariant.  The Gram matrix and the matrices of K are
-    one product each (:func:`_trace_form`, :func:`_combinations`).  In
-    characteristic 0, K is the Jacobson radical J(A) (Dickson), which is
-    nonzero exactly when the tuple is not completely reducible; then J(A)V
-    is proper and nonzero, so in exact arithmetic this layer certifies
-    every non-cr tuple over Q.  Over F_p(T), K can be larger than J(A) and
-    K V can be all of V, so there it certifies nothing.  Every candidate is
-    re-verified before being yielded, so unsound intermediate heuristics
-    cannot leak wrong answers.  Nothing is remembered between walks and
-    nothing is deduplicated: a walk can yield one subspace more than once.
-    The decisions read only the split at the first candidate
-    (:func:`_split`).
+    transposed generators (annihilators), J(A)V, and the kernels of the
+    elements of :func:`_commutant_stream` (the non-scalar commutant basis,
+    then in characteristic 0 its rational eigenvalue shifts), in one pass.
+    J(A)V is the span of the columns of the kernel K of the trace form
+    (a, b) -> tr(ab) on the word algebra A; K is an ideal, so K V is
+    invariant.  The Gram matrix and the matrices of K are one product each
+    (:func:`_trace_form`, :func:`_combinations`).  In characteristic 0, K
+    is the Jacobson radical J(A) (Dickson), which is nonzero exactly when
+    the tuple is not completely reducible; then J(A)V is proper and
+    nonzero, so in exact arithmetic this layer certifies every non-cr tuple
+    over Q.  Over F_p(T), K can be larger than J(A) and K V can be all of
+    V, so there it certifies nothing.  Each candidate of proper nonzero
+    size goes to :func:`split_at`; one it refuses is skipped, so unsound
+    heuristics cannot leak wrong answers.  Nothing is remembered between
+    walks and nothing is deduplicated: a walk can yield one subspace more
+    than once.  The decisions read only the first split (:func:`_split`).
     """
     field = rho.field
     n = rho.n
 
     def check(rows):
-        if not rows or len(rows) >= n or not _is_invariant(rho, rows):
+        if not rows or len(rows) >= n:
             return None
-        return rows
+        try:
+            return split_at(rho, rows)
+        except NotInvariantError:
+            return None
 
     probes = _probe_vectors(rho)
     for v in probes:
@@ -459,10 +464,9 @@ def invariant_subspace_candidates(rho: Representation):
 
         nonscalar = [c for c in intertwiner_space(rho, rho) if not _is_scalar(c)]
         for c in _commutant_stream(field, n, nonscalar):
-            if c.is_singular():
-                got = check(_kernel_rows(field, c.data))
-                if got:
-                    yield got
+            got = check(_kernel_rows(field, c.data))
+            if got:
+                yield got
 
 
 def _trace_form(field: Field, algebra) -> tuple:
@@ -493,21 +497,16 @@ def _commutant_stream(field: Field, n: int, nonscalar):
 
 
 def _split(rho: Representation):
-    """The tuple's :class:`Split` at the first candidate of
-    :func:`invariant_subspace_candidates`, or None when there is none.
+    """The first :class:`Split` :func:`invariant_subspace_candidates` yields,
+    or None when it yields none.
 
-    Built once per tuple, and the only thing the decisions below read.  A
+    Read once per tuple, and the only thing the decisions below read.  A
     battery that raises caches nothing, so a failure is never taken for an
     empty battery, which would make a reducible tuple read as irreducible.
     """
     if rho.n == 1:
         return None
-
-    def build():
-        rows = next(invariant_subspace_candidates(rho), None)
-        return None if rows is None else split_at(rho, rows)
-
-    return rho._derive("split", build)
+    return rho._derive("split", lambda: next(invariant_subspace_candidates(rho), None))
 
 
 def is_nonparabolic(rho: Representation):

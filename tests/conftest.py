@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import pytest
 
 from localrep import Field, Matrix, Representation, rref
-from localrep.linalg import solve_linear
+from localrep.linalg import Echelon, solve_linear
 
 
 @dataclass(frozen=True)
@@ -238,33 +238,19 @@ def box_vectors(field, n, bound=2):
 
 
 def _spin_closure(rep, vec):
-    """Independent spin: plain list basis with rref-based membership."""
-    field = rep.field
-    basis = []
-
-    def in_span(v):
-        if not basis:
-            return False
-        res = rref(field, basis + [list(v)])
-        return res.rank == len(basis)
-
-    def reduce_add(v):
-        if in_span(v):
-            return False
-        basis.append(list(v))
-        return True
-
-    reduce_add(vec)
+    """Independent spin: a first-in first-out queue under the generators and
+    their inverses, membership by one growing :class:`Echelon`."""
+    span = Echelon(rep.field)
+    span.insert(vec)
     queue = [vec]
     mats = list(rep.gens.values()) + [m.inv() for m in rep.gens.values()]
-    while queue and len(basis) < rep.n:
+    while queue and span.rank < rep.n:
         u = queue.pop(0)
         for m in mats:
             w = m.apply(u)
-            if reduce_add(w):
+            if span.insert(w):
                 queue.append(w)
-    res = rref(field, basis)
-    return tuple(res.reduced[i] for i in range(res.rank))
+    return span.reduced()
 
 
 def _oracle_splits(rep, rows) -> bool:
@@ -322,14 +308,11 @@ def word_span_basis(rep) -> list:
     field = rep.field
     n = rep.n
     basis = []
-    flat_rows = []
+    span = Echelon(field)
 
     def try_add(m):
-        flat = [x for row in m.data for x in row]
-        res = rref(field, flat_rows + [flat])
-        if res.rank == len(basis) + 1:
+        if span.insert([x for row in m.data for x in row]):
             basis.append(m)
-            flat_rows.append(flat)
             return True
         return False
 
