@@ -8,7 +8,11 @@ A field element is an ordinary Python value whose meaning is fixed by a
                    (exact rationals in lowest terms, so no precision loss),
 * ``funcfield`` -- :class:`FpRat`, a reduced ratio of polynomials over the
                    prime field F_p in one indeterminate T, with the T-adic
-                   valuation.
+                   valuation,
+* ``residue``   -- plain ``int`` standing for its class in the finite field
+                   GF(q), q prime: the residue fields that
+                   :mod:`localrep.reptheory` reduces Q and F_p(T) tuples to;
+                   no input names it.
 
 The non-archimedean absolute value is normalised as |x| = p^(-v(x)).  The
 valuation of zero is the distinguished value ``INFINITY`` (``math.inf``),
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _attribute
 from fractions import Fraction
 
 from .errors import FieldMismatchError, ParseError, RealHasNoValuation
@@ -470,20 +474,29 @@ def _check_literal_size(text: str):
 
 @dataclass(frozen=True)
 class Field:
-    """Descriptor fixing which of the three scalar models is in use."""
+    """Descriptor fixing which scalar model is in use: one of the three
+    local fields, or a residue field GF(q) (the ``residue`` kind)."""
 
-    kind: str  # "real" | "padic" | "funcfield"
+    kind: str  # "real" | "padic" | "funcfield" | "residue"
     p: int | None = None
+    # the values of zero() and one(), built once per field
+    _zero: object = _attribute(default=None, init=False, repr=False, compare=False)
+    _one: object = _attribute(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("real", "padic", "funcfield"):
+        if self.kind not in ("real", "padic", "funcfield", "residue"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "real":
             if self.p is not None:
                 raise ValueError("real field takes no prime")
+            constants = 0.0, 1.0
         else:
             if not isinstance(self.p, int) or not _is_prime(self.p):
                 raise ValueError(f"{self.kind} field needs a prime, got {self.p!r}")
+            constants = {"padic": (Fraction(0), Fraction(1)), "residue": (0, 1)}.get(
+                self.kind) or (FpRat.from_int(self.p, 0), FpRat.from_int(self.p, 1))
+        object.__setattr__(self, "_zero", constants[0])
+        object.__setattr__(self, "_one", constants[1])
 
     @classmethod
     def real(cls) -> "Field":
@@ -497,6 +510,10 @@ class Field:
     def funcfield(cls, p: int) -> "Field":
         return cls("funcfield", p)
 
+    @classmethod
+    def residue(cls, q: int) -> "Field":
+        return cls("residue", q)
+
     @property
     def is_real(self) -> bool:
         return self.kind == "real"
@@ -504,18 +521,11 @@ class Field:
     # -- element construction ------------------------------------------------
 
     def zero(self):
-        if self.kind == "real":
-            return 0.0
-        if self.kind == "padic":
-            return Fraction(0)
-        return FpRat.from_int(self.p, 0)
+        """The field's zero, the same object on every call (elements are immutable)."""
+        return self._zero
 
     def one(self):
-        if self.kind == "real":
-            return 1.0
-        if self.kind == "padic":
-            return Fraction(1)
-        return FpRat.from_int(self.p, 1)
+        return self._one
 
     def coerce(self, x):
         """Convert ints, strings and native values into this field."""
@@ -540,6 +550,10 @@ class Field:
                     return Fraction(x)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad rational literal {x!r}") from exc
+            raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
+        if self.kind == "residue":
+            if isinstance(x, int):
+                return x % self.p
             raise TypeError(f"cannot coerce {type(x).__name__} into {self}")
         # funcfield
         if isinstance(x, FpRat):
@@ -569,11 +583,15 @@ class Field:
             return abs(x) <= REAL_TOLERANCE * max(1.0, scale)
         if self.kind == "padic":
             return x == 0
+        if self.kind == "residue":
+            return x % self.p == 0
         return x.is_zero()
 
     def eq(self, x, y, scale: float = 1.0) -> bool:
         if self.kind == "real":
             return abs(x - y) <= REAL_TOLERANCE * max(1.0, scale)
+        if self.kind == "residue":
+            return (x - y) % self.p == 0
         return x == y
 
     def valuation(self, x):
@@ -630,4 +648,6 @@ class Field:
             return "R"
         if self.kind == "padic":
             return f"Q(p={self.p})"
+        if self.kind == "residue":
+            return f"GF({self.p})"
         return f"F{self.p}(T)"

@@ -18,7 +18,8 @@ done on integers: a product's entry is one integer dot product over the
 lcm denominators of its row and column, normalised once, and ``Echelon``
 stores primitive integer rows, with one content gcd per row operation
 (fraction-free elimination, Bareiss 1968).  The answers are the same
-rationals.
+rationals.  Over a residue field GF(q) (the ``residue`` model) entries are
+plain ints: each product entry and each row operation is reduced mod q.
 """
 
 from __future__ import annotations
@@ -197,13 +198,17 @@ def _product(field: Field, rows, cols) -> tuple:
     """Entry (i, j) is the dot product of ``rows[i]`` and ``cols[j]`` (sequences).
 
     Over Q it is one integer dot product over the lcm denominators of the
-    row and the column; over F_p(T) and R the entrywise products are added
-    in order, so rows and columns must not be empty there.
+    row and the column, over GF(q) one integer dot product mod q; over
+    F_p(T) and R the entrywise products are added in order, so rows and
+    columns must not be empty there.
     """
     if field.kind == "padic":
         cols = [_over_lcm(c) for c in cols]
         return tuple(tuple(Fraction(sum(map(mul, r, c)), d * e) for c, e in cols)
                      for r, d in map(_over_lcm, rows))
+    if field.kind == "residue":
+        q = field.p
+        return tuple(tuple(sum(map(mul, r, c)) % q for c in cols) for r in rows)
     return tuple(tuple(reduce(add, map(mul, r, c)) for c in cols) for r in rows)
 
 
@@ -248,13 +253,16 @@ class Echelon:
     Over Q an ``Echelon`` is an :class:`_IntegerEchelon`: its rows are
     primitive integer vectors instead, each a multiple of the normalised row,
     and each row operation divides by one content gcd.  No ``Fraction`` is
-    formed until the reduced rows are read off.
+    formed until the reduced rows are read off.  Over GF(q) it is a
+    :class:`_ResidueEchelon`, which reduces every entry mod q.
     """
 
     __slots__ = ("field", "rows", "pivots", "raw", "scale")
 
     def __new__(cls, field: Field):
-        return object.__new__(_IntegerEchelon if field.kind == "padic" else cls)
+        kind = field.kind
+        return object.__new__(_IntegerEchelon if kind == "padic"
+                              else _ResidueEchelon if kind == "residue" else cls)
 
     def __init__(self, field: Field):
         self.field = field
@@ -396,6 +404,34 @@ class _IntegerEchelon(Echelon):
         order = sorted(range(len(rows)), key=self.pivots.__getitem__)
         return tuple(tuple(Fraction(x, rows[i][self.pivots[i]]) for x in rows[i])
                      for i in order)
+
+
+class _ResidueEchelon(Echelon):
+    """:class:`Echelon` over GF(q), on ints standing for their classes mod q.
+
+    The base class's elimination with every row operation reduced mod q;
+    a pivot is inverted by ``pow(x, -1, q)``, and stored rows are in [0, q).
+    """
+
+    __slots__ = ()
+
+    def _clear(self, vec: list, row, piv: int):
+        c = vec[piv]
+        if c:
+            q = self.field.p
+            vec[piv:] = [(a - c * b) % q for a, b in zip(vec[piv:], row[piv:])]
+
+    def insert(self, vec) -> bool:
+        res = self._reduce(vec)
+        piv = self._pivot(res)
+        if piv is None:
+            return False
+        q = self.field.p
+        inv = pow(res[piv], -1, q)
+        self.rows.append([x * inv % q for x in res])
+        self.pivots.append(piv)
+        self.raw.append(res[piv])
+        return True
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,12 @@ a function of the tuple alone.
 
 Every negative verdict rests on one invariance test, :func:`_is_invariant`,
 run by :func:`split_at` before it splits and by :meth:`InvariantFlag.verify`
-at each block boundary of a flag before the flag is handed out.
+at each block boundary of a flag before the flag is handed out.  An
+"irreducible" verdict over Q and F_p(T) mostly rests on the same closure
+run mod q (:func:`_words_span_all_mod_residue`): when the reduced words
+span all n x n matrices, the battery stops after the standard spins,
+since nothing is left for it to find (Burnside; Norton's test without its
+null-space half).  Elsewhere it rests on the battery coming up empty.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -75,9 +81,12 @@ class Representation:
             if m.is_singular():
                 raise SingularMatrixError(f"generator {sym!r} is singular")
             mats[sym] = m
+        self._set(field, n, mats)
+
+    def _set(self, field: Field, n: int, gens: dict):
         self.field = field
         self.n = n
-        self.gens = mats
+        self.gens = gens
         # "inverses", "split", "series", "words" -> built value; "words" is
         # the trace stream of trace_fingerprint and grows in place
         self._derived = {}
@@ -85,6 +94,19 @@ class Representation:
     @classmethod
     def from_entries(cls, field: Field, gens: dict) -> "Representation":
         return cls(field, {s: Matrix.from_rows(field, rows) for s, rows in gens.items()})
+
+    @classmethod
+    def _of_invertible(cls, field: Field, gens: dict) -> "Representation":
+        """A tuple of n x n matrices over ``field`` that are invertible by
+        construction, taken without the checks of ``__init__``.
+
+        For the tuples built here from invertible ones: the diagonal blocks
+        of b^-1 g b in :func:`split_at` and h blockdiag(leaves) h^-1 in
+        :func:`semisimplify`.
+        """
+        rho = object.__new__(cls)
+        rho._set(field, next(iter(gens.values())).n, gens)
+        return rho
 
     @property
     def symbols(self) -> tuple:
@@ -278,7 +300,8 @@ def split_at(rho: Representation, rows) -> Split:
         sub[s] = Matrix(field, (row[:k] for row in t.data[:k]))
         off[s] = tuple(row[k:] for row in t.data[:k])
         quot[s] = Matrix(field, (row[k:] for row in t.data[k:]))
-    return Split(basis, binv, Representation(field, sub), off, Representation(field, quot))
+    return Split(basis, binv, Representation._of_invertible(field, sub), off,
+                 Representation._of_invertible(field, quot))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +405,6 @@ def _rational_eigenvalues(m: Matrix) -> list:
     y = c_0 x, and its rational roots are y / c_0 for the integer roots y of
     the result, which lie at the ends of the brackets of :func:`_root_floors`.
     """
-    from math import lcm
-
     rationals = Field.padic(2)  # Fraction arithmetic; p plays no part here
     m = Matrix(rationals, ((Fraction(x) for x in row) for row in m.data))
     ident = Matrix.identity(rationals, m.n)
@@ -411,8 +432,9 @@ def _rational_eigenvalues(m: Matrix) -> list:
 def invariant_subspace_candidates(rho: Representation):
     """Yield the :class:`Split` at each invariant subspace found, cheapest first.
 
-    Layers: spins of standard and seeded probe vectors, the same for the
-    transposed generators (annihilators), J(A)V, and the kernels of the
+    Layers: spins of the standard basis vectors, then the Burnside exit,
+    spins of the seeded probe vectors, the same for the transposed
+    generators (annihilators), J(A)V, and the kernels of the
     elements of :func:`_commutant_stream` (the non-scalar commutant basis,
     then in characteristic 0 its rational eigenvalue shifts), in one pass.
     J(A)V is the span of the columns of the kernel K of the trace form
@@ -428,6 +450,14 @@ def invariant_subspace_candidates(rho: Representation):
     heuristics cannot leak wrong answers.  Nothing is remembered between
     walks and nothing is deduplicated: a walk can yield one subspace more
     than once.  The decisions read only the first split (:func:`_split`).
+
+    The Burnside exit (Q and F_p(T) only) returns with nothing more yielded
+    when :func:`_words_span_all_mod_residue` holds: then the word algebra is
+    every n x n matrix over the field, every later candidate would fail
+    :func:`split_at`, and the walk yields what the whole battery would,
+    nothing.  It comes after the standard spins, which find most splits,
+    because on a reducible tuple the closure mod q runs to its end for
+    nothing.
     """
     field = rho.field
     n = rho.n
@@ -440,11 +470,17 @@ def invariant_subspace_candidates(rho: Representation):
         except NotInvariantError:
             return None
 
+    def spins(vectors):
+        for v in vectors:
+            got = check(spin(rho, v))
+            if got:
+                yield got
+
     probes = _probe_vectors(rho)
-    for v in probes:
-        got = check(spin(rho, v))
-        if got:
-            yield got
+    yield from spins(probes[:n])
+    if _words_span_all_mod_residue(rho):
+        return
+    yield from spins(probes[n:])
     duals = [m.transpose() for m in rho.gens.values()]
     for v in probes:
         urows = _closure(field, n, v, duals, Matrix.apply)[0].reduced()
@@ -467,6 +503,64 @@ def invariant_subspace_candidates(rho: Representation):
             got = check(_kernel_rows(field, c.data))
             if got:
                 yield got
+
+
+#: the residue fields GF(q) that Q tuples are reduced into: the first whose q
+#: divides no denominator of the tuple
+RESIDUE_FIELDS = tuple(map(Field.residue, (1073741789, 1073741783, 1073741741)))
+
+
+def _reductions(rho: Representation):
+    """Yield ``(GF(q), residue_of)`` for each residue field a tuple is reduced into.
+
+    Over Q: mod the first q of ``RESIDUE_FIELDS`` that divides no
+    denominator of an entry.  Over F_p(T): T -> t for each t in F_p at which
+    no denominator vanishes, so q = p.  ``residue_of`` maps an entry to its
+    residue in [0, q).  R has none.
+    """
+    field = rho.field
+    entries = [x for m in rho.gens.values() for row in m.data for x in row]
+    if field.kind == "padic":
+        dens = lcm(*(x.denominator for x in entries))
+        for residue in RESIDUE_FIELDS:
+            if dens % residue.p:
+                q = residue.p
+                yield residue, lambda x: x.numerator * pow(x.denominator, -1, q) % q
+                return
+    elif field.kind == "funcfield":
+        p = field.p
+        residue = Field.residue(p)
+        for t in range(p):
+            def at(poly, t=t):
+                return _poly_value(reversed(poly.coeffs), t) % p
+            if all(at(x.den) for x in entries):
+                yield residue, lambda x, at=at: at(x.num) * pow(at(x.den), -1, p) % p
+
+
+def _words_span_all_mod_residue(rho: Representation) -> bool:
+    """True when the words in the generators, reduced into one of the residue
+    fields of :func:`_reductions`, span all n x n matrices there.
+
+    The span is :func:`_closure` of I under left multiplication by the
+    reduced generators, run on :class:`Matrix` over GF(q).  Each entry lies
+    in the local ring O at the reduction (Z localised at q, or F_p[T]
+    localised at T - t), and reduction O -> GF(q) is a ring homomorphism, so
+    the residue of a word is the word in the residues.  If n^2 words have
+    independent residues, some n^2 x n^2 minor of their entries has a
+    nonzero residue, so it is nonzero and the words are independent over
+    the tuple's field K: the algebra A they span is M_n(K) (Burnside; the
+    generators' inverses lie in A by Cayley-Hamilton), and K^n has no proper
+    nonzero invariant subspace.  So True only where the battery would find
+    nothing; False says nothing.
+    """
+    n = rho.n
+    for residue, residue_of in _reductions(rho):
+        gens = [Matrix(residue, ((residue_of(x) for x in row) for row in m.data))
+                for m in rho.gens.values()]
+        span, _ = _closure(residue, n * n, Matrix.identity(residue, n), gens, operator.mul)
+        if span.rank == n * n:
+            return True
+    return False
 
 
 def _trace_form(field: Field, algebra) -> tuple:
@@ -516,7 +610,9 @@ def is_nonparabolic(rho: Representation):
     exists, otherwise ``(False, flag)`` with a verified single-step invariant
     flag as certificate: the adapted basis of the tuple's split at the
     first certified subspace (:func:`_split`; :func:`split_at` checks
-    invariance).  "Irreducible" means that the whole battery came up empty.
+    invariance).  "Irreducible" means that the words span all n x n
+    matrices mod q (:func:`_words_span_all_mod_residue`), or else that the
+    whole battery came up empty.
     """
     split = _split(rho)
     if split is None:
@@ -629,7 +725,7 @@ def semisimplify(rho: Representation) -> Semisimplification:
     h, hinv, leaves = _series(rho)
     gens = {s: h * Matrix.block_diagonal(rho.field, [leaf.gens[s] for leaf in leaves]) * hinv
             for s in rho.symbols}
-    return Semisimplification(flag=flag, rho_ss=Representation(rho.field, gens))
+    return Semisimplification(flag=flag, rho_ss=Representation._of_invertible(rho.field, gens))
 
 
 # ---------------------------------------------------------------------------

@@ -271,3 +271,20 @@ class TestCanonicalForm:
             for j, y in enumerate(b.coeffs):
                 naive[i + j] += x * y
         assert prod == FpPoly(p, naive)
+
+
+class TestFieldConstants:
+    @pytest.mark.parametrize("field", [R, Q5, F3, Field.residue(7)], ids=str)
+    def test_zero_and_one_are_built_once(self, field):
+        assert field.zero() is field.zero() and field.one() is field.one()
+        assert field.is_zero(field.zero()) and field.eq(field.one(), field.coerce(1))
+        assert field == Field(field.kind, field.p) and hash(field) == hash(Field(field.kind, field.p))
+        assert repr(field) == f"Field(kind={field.kind!r}, p={field.p!r})"
+
+    def test_residue_field_is_internal(self):
+        gf7 = Field.residue(7)
+        assert gf7.coerce(-1) == 6 and gf7.is_zero(14) and gf7.eq(-1, 13)
+        with pytest.raises(ValueError):
+            Field.residue(9)
+        with pytest.raises(ParseError):
+            Field.from_json({"type": "residue", "p": 7})

@@ -571,3 +571,59 @@ class TestProduct:
             assert _product(field, [], []) == ()
             assert _product(field, [], [[field.one()]]) == ()
             assert _product(field, [[field.one()], [field.zero()]], []) == ((), ())
+
+
+# the residue fields GF(q) of the Burnside exit: plain ints, reduced mod q
+
+
+class TestResidueField:
+    FIELDS = pytest.mark.parametrize("q", [3, 7, 1073741789])
+
+    @staticmethod
+    def _arrays(q):
+        """Seeded int arrays (entries also outside [0, q)), some rank deficient mod q."""
+        rng = random.Random(f"residue:{q}")
+        for _ in range(8):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[rng.randint(-2 * q, 2 * q) for _ in range(ncols)] for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:
+                rows[-1] = [(2 * a - b) for a, b in zip(rows[0], rows[1 % nrows])]
+            yield rows
+
+    @FIELDS
+    def test_product_is_the_integer_product_mod_q(self, q):
+        field = Field.residue(q)
+        for rows in self._arrays(q):
+            cols = [[x + 1 for x in r] for r in rows]
+            got = _product(field, rows, cols)
+            assert got == tuple(tuple(sum(a * b for a, b in zip(r, c)) % q for c in cols)
+                                for r in rows)
+
+    @FIELDS
+    def test_echelon_rank_is_the_minor_rank(self, q):
+        field = Field.residue(q)
+        for rows in self._arrays(q):
+            ech = Echelon(field)
+            for row in rows:
+                ech.insert(row)
+                assert ech.contains(row)
+            assert ech.rank == _minor_rank(field, rows)
+            for row, piv in zip(ech.rows, ech.pivots):
+                assert all(0 <= x < q for x in row) and row[piv] == 1
+                assert not any(row[:piv])
+            combo = [sum(c * r[j] for c, r in zip(range(2, 2 + len(rows)), rows))
+                     for j in range(len(rows[0]))]
+            assert ech.contains(combo) and ech.insert(combo) is False
+
+    @FIELDS
+    def test_det_and_inverse(self, q):
+        field = Field.residue(q)
+        for rows in self._arrays(q):
+            if len(rows) != len(rows[0]):
+                continue
+            m = Matrix(field, rows)
+            want = reference_det(Q5, [[Fraction(x) for x in r] for r in rows])
+            assert field.eq(m.det(), int(want))
+            assert m.is_singular() == (want % q == 0)
+            if want % q:
+                assert m * m.inv() == Matrix.identity(field, m.n)

@@ -31,11 +31,13 @@ from localrep.reptheory import (
 )
 
 from conftest import (
+    _abs_irreducible_block,
     _unitriangular,
     block_tuple,
     conjugated_diagonal,
     oracle_is_cr,
     trace_form_is_cr,
+    word_span_basis,
 )
 
 Q5 = Field.padic(5)
@@ -261,6 +263,18 @@ class TestSemisimplify:
         for entry in exact_corpus:
             assert is_cr(semisimplify(entry.rep).rho_ss), entry.name
 
+    @pytest.mark.parametrize("field", [Q5, F3, R], ids=["Q5", "F3T", "R"])
+    def test_built_tuples_are_not_checked_again(self, field, monkeypatch):
+        # split_at's blocks and rho_ss are invertible by construction; only
+        # verify's basis change is tested for singularity
+        rho = _fresh(block_tuple(field, random.Random("unchecked"), (2, 1, 1), False))
+        checked, original = [], Matrix.is_singular
+        monkeypatch.setattr(Matrix, "is_singular", lambda m: checked.append(m.n) or original(m))
+        ss = semisimplify(rho)
+        assert checked == [4]
+        assert sorted(leaf.n for leaf in reptheory._series(rho)[2]) == [1, 1, 2]
+        assert ss.rho_ss.symbols == rho.symbols and ss.rho_ss.n == 4
+
     def test_idempotent_up_to_conjugacy(self, exact_corpus):
         for entry in exact_corpus[:12] + exact_corpus[30:42]:
             once = semisimplify(entry.rep).rho_ss
@@ -465,8 +479,107 @@ class TestCompositionSeriesFromFirstCandidate:
         assert code == 0
         assert payload["nonparabolic"] is False and payload["cr"] is False
         assert payload["flag"]["block_sizes"] == [2, 2]
-        assert sizes["word_algebra_basis"] == [2, 2]  # W and V/W only
+        # W and V/W are absolutely irreducible, certified mod q with no exact algebra
+        assert sizes["word_algebra_basis"] == []
         assert sizes["intertwiner_space"] == []
+
+
+def _abs_irreducible(field, k, seed):
+    rng = random.Random(f"burnside:{field.kind}:{k}:{seed}")
+    return rep(field, dict(zip("ab", _abs_irreducible_block(field, rng, k, "ab"))))
+
+
+class TestBurnsideExitModResidue:
+    """The battery stops after the standard spins when the words span all
+    n x n matrices over a residue field, and only there."""
+
+    def test_never_on_a_reducible_tuple(self, floor_corpus, exact_corpus):
+        corpus = [(name, rho) for name, rho in floor_corpus if rho.field.kind != "real"]
+        corpus += [(f"{field}:{sizes}:{split}:{seed}",
+                    block_tuple(field, random.Random(f"burnside-reducible:{seed}"), sizes, split))
+                   for field in (Q5, F3) for sizes in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1))
+                   for split in (True, False) for seed in range(4)]
+        assert len(corpus) == 102
+        for name, rho in corpus:
+            assert not reptheory._words_span_all_mod_residue(rho), name
+        for entry in exact_corpus:
+            rho = entry.rep
+            if reptheory._words_span_all_mod_residue(rho):
+                # sound: then the exact word algebra is all of M_n(K)
+                assert len(word_span_basis(rho)) == rho.n ** 2, entry.name
+                assert entry.cr, entry.name
+
+    @pytest.mark.parametrize("field, k", [(Q5, 2), (Q5, 3), (F3, 2), (F3, 3)],
+                             ids=["Q5-2", "Q5-3", "F3T-2", "F3T-3"])
+    def test_fires_on_absolutely_irreducible_blocks(self, field, k):
+        for seed in range(100):
+            assert reptheory._words_span_all_mod_residue(_abs_irreducible(field, k, seed)), seed
+
+    def test_a_miss_leaves_the_verdict_to_the_battery(self):
+        # absolutely irreducible over F3(T), but triangular mod T - t at every
+        # t in F_3 (a is singular at t = 0), so no residue field certifies it
+        rho = rep(F3, {"a": [["T+1", "T+1"], [0, "T"]], "b": [[1, "T+1"], ["2*T+1", "T+1"]]})
+        assert len(list(reptheory._reductions(rho))) == 3
+        assert not reptheory._words_span_all_mod_residue(rho)
+        assert len(word_span_basis(rho)) == 4
+        assert is_nonparabolic(rho) == (True, None)
+
+    def test_a_prime_dividing_a_denominator_is_skipped(self):
+        q0, q1, q2 = (f.p for f in reptheory.RESIDUE_FIELDS)
+        for dens, want in (((1,), q0), ((q0,), q1), ((q0 * 7, q1), q2), ((q0 * q1, q2), None)):
+            rho = rep(Q5, {"a": [[0, Fraction(1, dens[0])], [1, 0]],
+                           "b": [[1, Fraction(1, dens[-1])], [0, 1]]})
+            got = [residue.p for residue, _ in reptheory._reductions(rho)]
+            assert got == ([] if want is None else [want]), dens
+            assert reptheory._words_span_all_mod_residue(rho) is (want is not None), dens
+        # the residue of x / d is x times the inverse of d mod q
+        rho = rep(Q5, {"a": [[Fraction(3, 7)]]})
+        (residue, residue_of), = reptheory._reductions(rho)
+        assert residue_of(Fraction(3, 7)) * 7 % q0 == 3
+
+    @pytest.mark.parametrize("entry, points", [("1", [0, 1, 2]), ("1/T", [1, 2]),
+                                               ("1/T+1", [0, 1]), ("1/T^2+T", [1]),
+                                               ("1/T^3+2*T", [])])
+    def test_a_point_where_a_denominator_vanishes_is_skipped(self, entry, points):
+        rho = rep(F3, {"a": [[0, entry], [1, 0]], "b": [[1, 1], [0, 1]]})
+        t = F3.coerce("T")
+        got = [residue_of(t) for _, residue_of in reptheory._reductions(rho)]
+        assert got == points
+        assert all(residue.p == 3 for residue, _ in reptheory._reductions(rho))
+        assert reptheory._words_span_all_mod_residue(rho) is bool(points)
+
+    def test_reals_are_never_reduced(self):
+        rho = rep(R, {"a": [[0.0, 1.0], [1.0, 0.0]], "b": [[1.0, 1.0], [0.0, 1.0]]})
+        assert list(reptheory._reductions(rho)) == []
+
+    @pytest.mark.parametrize("field, a, b", [
+        (Q5, [[0, 1], [1, 0]], [[1, 1], [0, 1]]),
+        (Q5, [[0, 0, 2], [1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+        (F3, [[0, "T"], [1, 0]], [[1, "1/T"], [0, 1]]),
+        (F3, [[0, 0, "T+1"], [1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    ], ids=["Q5-2", "Q5-3", "F3T-2", "F3T-3"])
+    def test_analyze_stops_after_the_standard_spins(self, field, a, b, monkeypatch, tmp_path):
+        rho = rep(field, {"a": a, "b": b})
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(jsonio.representation_to_json(rho)))
+        calls = {"spin": [], "word_algebra_basis": [], "intertwiner_space": [], "_closure": []}
+        for name, seen in calls.items():
+            def counted(*args, _original=getattr(reptheory, name), _seen=seen, **kwargs):
+                _seen.append(args)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(reptheory, name, counted)
+        code, payload = run(JobSpec("analyze", input=str(path)))
+        assert code == 0 and payload["nonparabolic"] is True and payload["cr"] is True
+        n = rho.n
+        # the n standard spins; no seeded one
+        assert [tuple(map(str, v)) for _, v in calls["spin"]] == [
+            tuple("1" if j == i else "0" for j in range(n)) for i in range(n)]
+        assert calls["word_algebra_basis"] == [] and calls["intertwiner_space"] == []
+        # no dual spin: every closure over the tuple's field is a standard spin's,
+        # and the others run over a residue field
+        kinds = [args[0].kind for args in calls["_closure"]]
+        assert kinds.count(field.kind) == n
+        assert set(kinds[n:]) == {"residue"}
 
 
 THREE_BLOCK_SHAPES = ((Q5, (1, 1, 2)), (Q5, (2, 1, 1)), (F3, (1, 1, 1)))

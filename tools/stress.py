@@ -12,11 +12,12 @@ is ``(is_nonparabolic, is_cr, sorted composition_series block sizes)``; a
 build or decision that raises answers with its error text.
 
 Prints, for each field, shape and split, the count of wrong answers and
-each wrong one with its seed, then the wrong total per field, then one
-sha256 per field over all its answers in order, so two checkouts print the
-same digest exactly when every answer over that field is the same.  The
-seeds are fixed here: ``SEEDS`` per cell, ``SEEDS_LARGE`` when n >= 4.
-Print-only: the exit status is 0 whatever the counts are.
+each wrong one with its seed, then the wrong total per field and the
+seconds its decisions took (the three calls above, not the tuple builds),
+then one sha256 per field over all its answers in order, so two checkouts
+print the same digest exactly when every answer over that field is the
+same.  The seeds are fixed here: ``SEEDS`` per cell, ``SEEDS_LARGE`` when
+n >= 4.  Print-only: the exit status is 0 whatever the counts are.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,22 +61,28 @@ def cells(tag, field):
 
 
 def answer(build):
+    """``(answer, seconds the decisions took)`` for the tuple ``build`` makes."""
     try:
         rho = build()
-        return (is_nonparabolic(rho)[0], is_cr(rho),
-                sorted(composition_series(rho).block_sizes))
     except Exception as exc:  # a wrong answer too; the text stands in for it
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", 0.0
+    start = time.perf_counter()
+    try:
+        got = (is_nonparabolic(rho)[0], is_cr(rho), sorted(composition_series(rho).block_sizes))
+    except Exception as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    return got, time.perf_counter() - start
 
 
 def main() -> int:
     digests = {}
     for tag, field in FIELDS:
-        digest, wrong_total, total = hashlib.sha256(), 0, 0
+        digest, wrong_total, total, seconds = hashlib.sha256(), 0, 0, 0.0
         for name, label, builds in cells(tag, field):
             wrong = []
             for seed, build in builds:
-                got = answer(build)
+                got, took = answer(build)
+                seconds += took
                 digest.update(f"{name} {seed} {got}\n".encode("utf-8"))
                 if got != label:
                     wrong.append(f"seed {seed} {got}")
@@ -83,6 +91,7 @@ def main() -> int:
             print(f"{tag} {name}: {len(wrong)} wrong of {len(builds)}"
                   + "".join(f"\n    {w}" for w in wrong))
         print(f"{tag}: {wrong_total} wrong of {total}")
+        print(f"{tag}: {seconds:.2f} s deciding {total} tuples", flush=True)
         digests[tag] = digest.hexdigest()
     for tag, digest in digests.items():
         print(f"answers {tag} sha256 {digest}")
