@@ -40,7 +40,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import lcm
 
 from .errors import (
@@ -509,13 +509,19 @@ def invariant_subspace_candidates(rho: Representation):
 #: divides no denominator of the tuple
 RESIDUE_FIELDS = tuple(map(Field.residue, (1073741789, 1073741783, 1073741741)))
 
+#: the most points t of F_p that an F_p(T) tuple is reduced at, so that the
+#: closures run do not grow with p
+RESIDUE_POINTS = 3
+
 
 def _reductions(rho: Representation):
     """Yield ``(GF(q), residue_of)`` for each residue field a tuple is reduced into.
 
     Over Q: mod the first q of ``RESIDUE_FIELDS`` that divides no
-    denominator of an entry.  Over F_p(T): T -> t for each t in F_p at which
-    no denominator vanishes, so q = p.  ``residue_of`` maps an entry to its
+    denominator of an entry.  Over F_p(T): T -> t for the first
+    ``RESIDUE_POINTS`` t = 0, 1, ... in F_p at which no denominator
+    vanishes, so q = p; the points passed over are roots of a denominator,
+    at most their total degree.  ``residue_of`` maps an entry to its
     residue in [0, q).  R has none.
     """
     field = rho.field
@@ -530,11 +536,13 @@ def _reductions(rho: Representation):
     elif field.kind == "funcfield":
         p = field.p
         residue = Field.residue(p)
-        for t in range(p):
-            def at(poly, t=t):
-                return _poly_value(reversed(poly.coeffs), t) % p
-            if all(at(x.den) for x in entries):
-                yield residue, lambda x, at=at: at(x.num) * pow(at(x.den), -1, p) % p
+
+        def at(poly, t):
+            return _poly_value(reversed(poly.coeffs), t) % p
+
+        points = (t for t in range(p) if all(at(x.den, t) for x in entries))
+        for t in islice(points, RESIDUE_POINTS):
+            yield residue, lambda x, t=t: at(x.num, t) * pow(at(x.den, t), -1, p) % p
 
 
 def _words_span_all_mod_residue(rho: Representation) -> bool:

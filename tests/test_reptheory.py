@@ -548,6 +548,25 @@ class TestBurnsideExitModResidue:
         assert all(residue.p == 3 for residue, _ in reptheory._reductions(rho))
         assert reptheory._words_span_all_mod_residue(rho) is bool(points)
 
+    @pytest.mark.parametrize("p", [1000003, 1000000000039])
+    def test_a_large_characteristic_is_reduced_at_three_points(self, monkeypatch, p):
+        # reducible (the common eigenvector (1, 1)) but e1 and e2 each spin
+        # the whole space, so the closure mod T - t runs and never reaches n^2
+        field = Field.funcfield(p)
+        rho = rep(field, {"a": [["T", 1], [0, "T+1"]], "b": [[0, 1], [1, 0]]})
+        residues = []
+
+        def counted(f, *args, _original=reptheory._closure):
+            if f.kind == "residue":
+                residues.append(f.p)
+            return _original(f, *args)
+        monkeypatch.setattr(reptheory, "_closure", counted)
+        got = [residue_of(field.coerce("T")) for _, residue_of in reptheory._reductions(rho)]
+        assert got == [0, 1, 2] and reptheory.RESIDUE_POINTS == 3
+        ok, flag = is_nonparabolic(rho)
+        assert residues == [p] * 3
+        assert not ok and flag.verify(rho) and flag.block_sizes == (1, 1)
+
     def test_reals_are_never_reduced(self):
         rho = rep(R, {"a": [[0.0, 1.0], [1.0, 0.0]], "b": [[1.0, 1.0], [0.0, 1.0]]})
         assert list(reptheory._reductions(rho)) == []
